@@ -67,10 +67,6 @@ pub struct BatchOutput {
     pub shards: Vec<ShardReport>,
 }
 
-/// What a worker hands back: its output rows and report, or the error
-/// that felled the shard.
-type ShardResult = Result<(Vec<Vec<bool>>, ShardReport), SimError>;
-
 /// Splits `total` vectors into `jobs` contiguous, near-equal shards
 /// (the first `total % jobs` shards get one extra vector). Returns
 /// `(start, len)` pairs; empty shards are dropped. Public so batch
@@ -170,6 +166,133 @@ pub fn run_batch_cancellable(
     probe: &dyn BatchProbe,
     cancel: &CancelToken,
 ) -> Result<BatchOutput, SimError> {
+    let outputs = netlist.primary_outputs();
+    let epoch = telemetry.map(Telemetry::epoch);
+    let heartbeats = probe.wants_heartbeats();
+    let observe_vectors = probe.wants_vectors();
+    let interval = probe.heartbeat_interval();
+    let results = run_shards(
+        netlist,
+        prototype,
+        vectors,
+        jobs,
+        telemetry,
+        |shard, start, guard, slice| {
+            let clock = Instant::now();
+            let start_ns = epoch
+                .map(|epoch| {
+                    u64::try_from(clock.saturating_duration_since(epoch).as_nanos())
+                        .unwrap_or(u64::MAX)
+                })
+                .unwrap_or(0);
+            let beat = |guard: &GuardedSimulator, done: usize, finished: bool| {
+                probe.heartbeat(&Heartbeat {
+                    shard,
+                    done,
+                    total: slice.len(),
+                    wall_ns: u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX),
+                    engine: guard.active_engine(),
+                    fallbacks: guard.fallbacks().len(),
+                    finished,
+                });
+            };
+            if heartbeats {
+                beat(guard, 0, false);
+            }
+            let mut last_beat = Instant::now();
+            let mut rows = Vec::with_capacity(slice.len());
+            for (done, vector) in slice.iter().enumerate() {
+                if let Some(cause) = cancel.cause() {
+                    return Err(SimError::new(
+                        SimErrorKind::Cancelled {
+                            cause,
+                            vectors_done: done,
+                        },
+                        SimPhase::Run,
+                    ));
+                }
+                guard.simulate_vector(vector)?;
+                rows.push(outputs.iter().map(|&po| guard.final_value(po)).collect());
+                if observe_vectors {
+                    probe.vector_done(shard, guard.active_simulator());
+                }
+                if heartbeats {
+                    let finished = done + 1 == slice.len();
+                    let now = Instant::now();
+                    if finished || now.duration_since(last_beat) >= interval {
+                        last_beat = now;
+                        beat(guard, done + 1, finished);
+                    }
+                }
+            }
+            Ok((
+                rows,
+                ShardReport {
+                    index: shard,
+                    start,
+                    vectors: slice.len(),
+                    start_ns,
+                    wall_ns: u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX),
+                    engine: guard.active_engine(),
+                    fallbacks: guard.fallbacks().len(),
+                },
+            ))
+        },
+    )?;
+    if vectors.is_empty() && heartbeats {
+        // Even a degenerate batch announces completion: consumers keyed
+        // on `finished` (progress bars, the NDJSON stream) must never
+        // wait on a batch that will say nothing.
+        probe.heartbeat(&Heartbeat {
+            shard: 0,
+            done: 0,
+            total: 0,
+            wall_ns: 0,
+            engine: prototype.active_engine(),
+            fallbacks: 0,
+            finished: true,
+        });
+    }
+
+    let mut rows = Vec::with_capacity(vectors.len());
+    let mut shards = Vec::with_capacity(results.len());
+    for result in results {
+        let (shard_rows, report) = result?;
+        rows.extend(shard_rows);
+        if let Some(telemetry) = telemetry {
+            telemetry.attach_span(SpanNode {
+                name: format!("batch.shard.{}", report.index),
+                start_ns: report.start_ns,
+                wall_ns: report.wall_ns,
+                // Worker spans get their own timeline lane: tid 0 is
+                // the coordinating thread's span stack.
+                tid: report.index as u64 + 1,
+                children: Vec::new(),
+            });
+            telemetry.add("batch.shard_fallbacks", report.fallbacks as u64);
+        }
+        shards.push(report);
+    }
+    Ok(BatchOutput { rows, shards })
+}
+
+/// The one shard runner behind [`run_batch_cancellable`] and the
+/// hot-path profiler: checks every vector's width, splits the stream
+/// with [`shard_bounds`], seeds each shard by the zero-delay prepass,
+/// and runs `body(shard, start, guard, slice)` on one worker thread per
+/// shard, each with its own seeded fork of `prototype`. A panic above
+/// the engine layer fells only its own shard. Returns per-shard results
+/// in shard order — empty for an empty stream. With `telemetry`, the
+/// prepass is a `batch.prepass` span and the partition sets the
+/// `batch.shards` / `batch.vectors_per_shard` gauges.
+pub(crate) fn run_shards<T: Send>(
+    netlist: &Netlist,
+    prototype: &GuardedSimulator,
+    vectors: &[Vec<bool>],
+    jobs: usize,
+    telemetry: Option<&Telemetry>,
+    body: impl Fn(usize, usize, &mut GuardedSimulator, &[Vec<bool>]) -> Result<T, SimError> + Sync,
+) -> Result<Vec<Result<T, SimError>>, SimError> {
     let expected = netlist.primary_inputs().len();
     for vector in vectors {
         if vector.len() != expected {
@@ -191,29 +314,13 @@ pub fn run_batch_cancellable(
         );
     }
     if vectors.is_empty() {
-        // Even a degenerate batch announces completion: consumers keyed
-        // on `finished` (progress bars, the NDJSON stream) must never
-        // wait on a batch that will say nothing.
-        if probe.wants_heartbeats() {
-            probe.heartbeat(&Heartbeat {
-                shard: 0,
-                done: 0,
-                total: 0,
-                wall_ns: 0,
-                engine: prototype.active_engine(),
-                fallbacks: 0,
-                finished: true,
-            });
-        }
-        return Ok(BatchOutput {
-            rows: Vec::new(),
-            shards: Vec::new(),
-        });
+        return Ok(Vec::new());
     }
 
     // Zero-delay prepass: the stable state at each shard boundary.
-    // Shard 0 starts from power-up; shard k > 0 from the settled state
-    // of the vector just before it — one levelized evaluation each.
+    // Shard 0 starts from the prototype's state; shard k > 0 from the
+    // settled state of the vector just before it — one levelized
+    // evaluation each.
     let boundary_vectors: Vec<&[bool]> = bounds[1..]
         .iter()
         .map(|&(start, _)| vectors[start - 1].as_slice())
@@ -223,131 +330,38 @@ pub fn run_batch_cancellable(
         stable_states(netlist, boundary_vectors)?
     };
 
-    let outputs = netlist.primary_outputs().to_vec();
-    let epoch = telemetry.map(Telemetry::epoch);
-    let heartbeats = probe.wants_heartbeats();
-    let observe_vectors = probe.wants_vectors();
-    let interval = probe.heartbeat_interval();
-    let mut results: Vec<Option<ShardResult>> = (0..bounds.len()).map(|_| None).collect();
+    let body = &body;
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(bounds.len());
-        for (shard, &(start, len)) in bounds.iter().enumerate() {
-            let mut guard = prototype.fork();
-            let seed = (shard > 0).then(|| seeds[shard - 1].as_slice());
-            let slice = &vectors[start..start + len];
-            let outputs = &outputs;
-            handles.push(scope.spawn(move || {
-                let clock = Instant::now();
-                let start_ns = epoch
-                    .map(|epoch| {
-                        u64::try_from(clock.saturating_duration_since(epoch).as_nanos())
-                            .unwrap_or(u64::MAX)
-                    })
-                    .unwrap_or(0);
-                let beat = |guard: &GuardedSimulator, done: usize, finished: bool| {
-                    probe.heartbeat(&Heartbeat {
-                        shard,
-                        done,
-                        total: len,
-                        wall_ns: u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                        engine: guard.active_engine(),
-                        fallbacks: guard.fallbacks().len(),
-                        finished,
-                    });
-                };
-                let body = || -> Result<Vec<Vec<bool>>, SimError> {
-                    if let Some(seed) = seed {
-                        guard.seed_stable(seed);
-                    }
-                    if heartbeats {
-                        beat(&guard, 0, false);
-                    }
-                    let mut last_beat = Instant::now();
-                    let mut rows = Vec::with_capacity(slice.len());
-                    for (done, vector) in slice.iter().enumerate() {
-                        if let Some(cause) = cancel.cause() {
-                            return Err(SimError::new(
-                                SimErrorKind::Cancelled {
-                                    cause,
-                                    vectors_done: done,
-                                },
-                                SimPhase::Run,
-                            ));
+        let handles: Vec<_> = bounds
+            .iter()
+            .enumerate()
+            .map(|(shard, &(start, len))| {
+                let mut guard = prototype.fork();
+                let seed = (shard > 0).then(|| seeds[shard - 1].as_slice());
+                let slice = &vectors[start..start + len];
+                scope.spawn(move || {
+                    // The guard contains engine panics itself; this
+                    // outer net catches anything above the engine layer
+                    // so one shard cannot abort its siblings.
+                    panic::catch_unwind(AssertUnwindSafe(|| {
+                        if let Some(seed) = seed {
+                            guard.seed_stable(seed);
                         }
-                        guard.simulate_vector(vector)?;
-                        rows.push(outputs.iter().map(|&po| guard.final_value(po)).collect());
-                        if observe_vectors {
-                            probe.vector_done(shard, guard.active_simulator());
-                        }
-                        if heartbeats {
-                            let finished = done + 1 == slice.len();
-                            let now = Instant::now();
-                            if finished || now.duration_since(last_beat) >= interval {
-                                last_beat = now;
-                                beat(&guard, done + 1, finished);
-                            }
-                        }
-                    }
-                    Ok(rows)
-                };
-                // The guard contains engine panics itself; this outer
-                // net catches anything above the engine layer so one
-                // shard cannot abort its siblings.
-                let rows = match panic::catch_unwind(AssertUnwindSafe(body)) {
-                    Ok(result) => result?,
-                    Err(payload) => {
-                        let message = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_owned())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".to_owned());
-                        return Err(SimError::new(
-                            SimErrorKind::EnginePanicked { message },
-                            SimPhase::Run,
-                        ));
-                    }
-                };
-                Ok((
-                    rows,
-                    ShardReport {
-                        index: shard,
-                        start,
-                        vectors: len,
-                        start_ns,
-                        wall_ns: u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                        engine: guard.active_engine(),
-                        fallbacks: guard.fallbacks().len(),
-                    },
-                ))
-            }));
-        }
-        for (slot, handle) in results.iter_mut().zip(handles) {
-            *slot = Some(handle.join().unwrap_or_else(|payload| {
-                panic::resume_unwind(payload);
-            }));
-        }
-    });
-
-    let mut rows = Vec::with_capacity(vectors.len());
-    let mut shards = Vec::with_capacity(bounds.len());
-    for result in results.into_iter().flatten() {
-        let (shard_rows, report) = result?;
-        rows.extend(shard_rows);
-        if let Some(telemetry) = telemetry {
-            telemetry.attach_span(SpanNode {
-                name: format!("batch.shard.{}", report.index),
-                start_ns: report.start_ns,
-                wall_ns: report.wall_ns,
-                // Worker spans get their own timeline lane: tid 0 is
-                // the coordinating thread's span stack.
-                tid: report.index as u64 + 1,
-                children: Vec::new(),
-            });
-            telemetry.add("batch.shard_fallbacks", report.fallbacks as u64);
-        }
-        shards.push(report);
-    }
-    Ok(BatchOutput { rows, shards })
+                        body(shard, start, &mut guard, slice)
+                    }))
+                    .unwrap_or_else(|payload| Err(SimError::from_panic(payload, SimPhase::Run)))
+                })
+            })
+            .collect();
+        Ok(handles
+            .into_iter()
+            .map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| panic::resume_unwind(payload))
+            })
+            .collect())
+    })
 }
 
 #[cfg(test)]

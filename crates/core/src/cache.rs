@@ -104,7 +104,7 @@ impl EngineCache {
     }
 
     /// Looks `key` up; a hit returns a fresh fork of the cached
-    /// prototype (power-up state, empty vector log) and refreshes its
+    /// prototype (power-up state, no vector run) and refreshes its
     /// recency. Bumps `cache.hits` or `cache.misses`.
     pub fn lookup(&self, key: &CacheKey) -> Option<GuardedSimulator> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());

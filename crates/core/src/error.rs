@@ -178,6 +178,20 @@ impl SimError {
         }
     }
 
+    /// A [`SimErrorKind::EnginePanicked`] error from a caught panic payload
+    /// (panics carry `&str` or `String`; anything else gets a
+    /// placeholder).
+    pub(crate) fn from_panic(payload: Box<dyn std::any::Any + Send>, phase: SimPhase) -> Self {
+        let message = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_owned()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_owned()
+        };
+        SimError::new(SimErrorKind::EnginePanicked { message }, phase)
+    }
+
     /// Attaches the engine the error arose in.
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = Some(engine);

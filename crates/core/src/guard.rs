@@ -5,9 +5,15 @@
 //! event-driven baseline is the robust one. [`GuardedSimulator`] runs
 //! the fastest engine that fits a [`ResourceLimits`] budget and falls
 //! back down [`GuardedSimulator::DEFAULT_CHAIN`] whenever an engine
-//! fails to compile, blows its budget, or panics mid-run — replaying
-//! the vector log into the next engine so retention state stays
-//! consistent. Every fallback is recorded; nothing fails silently.
+//! fails to compile, blows its budget, or panics mid-run. Every
+//! fallback is recorded; nothing fails silently.
+//!
+//! The only state one vector hands the next is each net's settled
+//! value, and for a combinational netlist that is the zero-delay settle
+//! of the last vector alone (DESIGN.md §12). So a replacement engine is
+//! seeded with [`stable_states`] of the last vector run and continues
+//! bit-exactly; keeping that one vector is all the memory the hand-off
+//! needs, however long the stream.
 //!
 //! Panics are contained with [`std::panic::catch_unwind`]: a buggy
 //! engine surfaces as [`SimErrorKind::EnginePanicked`] instead of
@@ -18,9 +24,9 @@
 // Err-size heuristic trades the wrong way here.
 #![allow(clippy::result_large_err)]
 
-use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
 
+use uds_eventsim::zero_delay::stable_states;
 use uds_netlist::{NetId, Netlist, NoopProbe, Probe, ResourceLimits};
 use uds_parallel::{Optimization, ParallelSim, Word};
 use uds_pcset::PcSetSimulator;
@@ -28,18 +34,6 @@ use uds_pcset::PcSetSimulator;
 use crate::error::{FailureClass, SimError, SimErrorKind, SimPhase};
 use crate::telemetry::Telemetry;
 use crate::{crosscheck, Engine, TracedEventSim, UnitDelaySimulator, WordWidth};
-
-/// Renders a panic payload to text (panics carry `&str` or `String`;
-/// anything else gets a placeholder).
-fn panic_message(payload: Box<dyn Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
 
 /// Builds engines for a [`GuardedSimulator`]. The default factory
 /// compiles the real engines; the chaos harness substitutes faulty ones.
@@ -95,7 +89,7 @@ impl EngineFactory for DefaultEngineFactory {
         engine: Engine,
         limits: &ResourceLimits,
     ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-        build_engine_with_limits_word(netlist, engine, limits, self.word)
+        self.build_probed(netlist, engine, limits, &NoopProbe)
     }
 
     fn build_probed(
@@ -105,7 +99,7 @@ impl EngineFactory for DefaultEngineFactory {
         limits: &ResourceLimits,
         probe: &dyn Probe,
     ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-        build_engine_with_limits_probed_word(netlist, engine, limits, probe, self.word)
+        build_engine(netlist, engine, limits, probe, self.word, false)
     }
 
     fn clone_box(&self) -> Box<dyn EngineFactory> {
@@ -148,78 +142,7 @@ impl EngineFactory for MonitoringEngineFactory {
         limits: &ResourceLimits,
         probe: &dyn Probe,
     ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-        let attach = |e: SimError| {
-            if e.engine.is_none() {
-                e.with_engine(engine)
-            } else {
-                e
-            }
-        };
-        let word = self.word;
-        let build = || -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-            Ok(match engine {
-                Engine::Native => crate::native::build_native_monitoring(
-                    netlist,
-                    Engine::ParallelPathTracingTrimming,
-                    word,
-                    limits,
-                    probe,
-                )?,
-                // The baseline traces every net already; budget checks
-                // match the default factory's.
-                Engine::EventDriven => {
-                    return build_engine_with_limits_probed_word(
-                        netlist, engine, limits, probe, word,
-                    )
-                }
-                Engine::PcSet => {
-                    let all: Vec<NetId> = netlist.net_ids().collect();
-                    Box::new(PcSetSimulator::compile_probed_with_monitors(
-                        netlist, &all, limits, probe,
-                    )?)
-                }
-                Engine::Parallel
-                | Engine::ParallelTrimming
-                | Engine::ParallelPathTracing
-                | Engine::ParallelPathTracingTrimming
-                | Engine::ParallelCycleBreaking => {
-                    let optimization = match engine {
-                        Engine::Parallel => Optimization::None,
-                        Engine::ParallelTrimming => Optimization::Trimming,
-                        Engine::ParallelPathTracing => Optimization::PathTracing,
-                        Engine::ParallelPathTracingTrimming => Optimization::PathTracingTrimming,
-                        _ => Optimization::CycleBreaking,
-                    };
-                    fn compile<W: Word>(
-                        netlist: &Netlist,
-                        optimization: Optimization,
-                        limits: &ResourceLimits,
-                        probe: &dyn Probe,
-                    ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-                        Ok(Box::new(ParallelSim::<W>::compile_monitoring_all_probed(
-                            netlist,
-                            optimization,
-                            limits,
-                            probe,
-                        )?))
-                    }
-                    match word {
-                        WordWidth::W32 => compile::<u32>(netlist, optimization, limits, probe)?,
-                        WordWidth::W64 => compile::<u64>(netlist, optimization, limits, probe)?,
-                    }
-                }
-            })
-        };
-        match panic::catch_unwind(AssertUnwindSafe(build)) {
-            Ok(result) => result.map_err(attach),
-            Err(payload) => Err(SimError::new(
-                SimErrorKind::EnginePanicked {
-                    message: panic_message(payload),
-                },
-                SimPhase::Compile,
-            )
-            .with_engine(engine)),
-        }
+        build_engine(netlist, engine, limits, probe, self.word, true)
     }
 
     fn clone_box(&self) -> Box<dyn EngineFactory> {
@@ -237,16 +160,6 @@ pub fn build_engine_with_limits(
     limits: &ResourceLimits,
 ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
     build_engine_with_limits_probed(netlist, engine, limits, &NoopProbe)
-}
-
-/// [`build_engine_with_limits`] at an explicit parallel word width.
-pub fn build_engine_with_limits_word(
-    netlist: &Netlist,
-    engine: Engine,
-    limits: &ResourceLimits,
-    word: WordWidth,
-) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-    build_engine_with_limits_probed_word(netlist, engine, limits, &NoopProbe, word)
 }
 
 /// Like [`build_engine_with_limits`], reporting compile phases and the
@@ -271,22 +184,66 @@ pub fn build_engine_with_limits_probed_word(
     probe: &dyn Probe,
     word: WordWidth,
 ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-    let attach = |e: SimError| {
-        if e.engine.is_none() {
-            e.with_engine(engine)
-        } else {
-            e
-        }
-    };
-    let build = || -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-        Ok(match engine {
-            Engine::Native => crate::native::build_native(
+    build_engine(netlist, engine, limits, probe, word, false)
+}
+
+/// The one engine dispatch behind both factories: compiles `engine`
+/// panic-contained, monitoring every net when `monitor_all` is set (the
+/// event-driven baseline traces every net either way).
+fn build_engine(
+    netlist: &Netlist,
+    engine: Engine,
+    limits: &ResourceLimits,
+    probe: &dyn Probe,
+    word: WordWidth,
+    monitor_all: bool,
+) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
+    fn parallel<W: Word>(
+        netlist: &Netlist,
+        optimization: Optimization,
+        limits: &ResourceLimits,
+        probe: &dyn Probe,
+        monitor_all: bool,
+    ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
+        Ok(if monitor_all {
+            Box::new(ParallelSim::<W>::compile_monitoring_all_probed(
                 netlist,
-                Engine::ParallelPathTracingTrimming,
-                word,
+                optimization,
                 limits,
                 probe,
-            )?,
+            )?)
+        } else {
+            Box::new(ParallelSim::<W>::compile_probed(
+                netlist,
+                optimization,
+                limits,
+                probe,
+            )?)
+        })
+    }
+    let build = || -> Result<Box<dyn UnitDelaySimulator>, SimError> {
+        Ok(match engine {
+            Engine::Native => {
+                let build_native = if monitor_all {
+                    crate::native::build_native_monitoring
+                } else {
+                    crate::native::build_native
+                };
+                build_native(
+                    netlist,
+                    Engine::ParallelPathTracingTrimming,
+                    word,
+                    limits,
+                    probe,
+                )?
+            }
+            Engine::PcSet if monitor_all => {
+                let all: Vec<NetId> = netlist.net_ids().collect();
+                Box::new(PcSetSimulator::compile_probed_with_monitors(
+                    netlist, &all, limits, probe,
+                )?)
+            }
+            Engine::PcSet => Box::new(PcSetSimulator::compile_probed(netlist, limits, probe)?),
             Engine::EventDriven => {
                 // The baseline has no compiler, but the budget still
                 // applies: its waveform store is nets × (depth + 1).
@@ -300,48 +257,26 @@ pub fn build_engine_with_limits_probed_word(
                 limits.check_deadline()?;
                 Box::new(TracedEventSim::new(netlist)?)
             }
-            Engine::PcSet => Box::new(PcSetSimulator::compile_probed(netlist, limits, probe)?),
-            Engine::Parallel
-            | Engine::ParallelTrimming
-            | Engine::ParallelPathTracing
-            | Engine::ParallelPathTracingTrimming
-            | Engine::ParallelCycleBreaking => {
-                let optimization = match engine {
-                    Engine::Parallel => Optimization::None,
-                    Engine::ParallelTrimming => Optimization::Trimming,
-                    Engine::ParallelPathTracing => Optimization::PathTracing,
-                    Engine::ParallelPathTracingTrimming => Optimization::PathTracingTrimming,
-                    _ => Optimization::CycleBreaking,
-                };
-                fn compile<W: Word>(
-                    netlist: &Netlist,
-                    optimization: Optimization,
-                    limits: &ResourceLimits,
-                    probe: &dyn Probe,
-                ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-                    Ok(Box::new(ParallelSim::<W>::compile_probed(
-                        netlist,
-                        optimization,
-                        limits,
-                        probe,
-                    )?))
-                }
+            _ => {
+                let optimization = engine
+                    .optimization()
+                    .expect("every remaining engine is parallel-family");
                 match word {
-                    WordWidth::W32 => compile::<u32>(netlist, optimization, limits, probe)?,
-                    WordWidth::W64 => compile::<u64>(netlist, optimization, limits, probe)?,
+                    WordWidth::W32 => {
+                        parallel::<u32>(netlist, optimization, limits, probe, monitor_all)?
+                    }
+                    WordWidth::W64 => {
+                        parallel::<u64>(netlist, optimization, limits, probe, monitor_all)?
+                    }
                 }
             }
         })
     };
     match panic::catch_unwind(AssertUnwindSafe(build)) {
-        Ok(result) => result.map_err(attach),
-        Err(payload) => Err(SimError::new(
-            SimErrorKind::EnginePanicked {
-                message: panic_message(payload),
-            },
-            SimPhase::Compile,
-        )
-        .with_engine(engine)),
+        Ok(Ok(sim)) => Ok(sim),
+        Ok(Err(e)) if e.engine.is_some() => Err(e),
+        Ok(Err(e)) => Err(e.with_engine(engine)),
+        Err(payload) => Err(SimError::from_panic(payload, SimPhase::Compile).with_engine(engine)),
     }
 }
 
@@ -379,9 +314,9 @@ pub struct FiredFallback {
 ///
 /// Construction tries each engine in the chain until one compiles
 /// within budget. Per-vector runs are panic-contained: a mid-run panic
-/// triggers a fallback, and the full vector log is replayed into the
-/// next engine so retained state (each vector's dependence on the
-/// previous one) is preserved bit-exactly.
+/// triggers a fallback, and the next engine is seeded with the settled
+/// state of the last vector run so retained state (each vector's
+/// dependence on the previous one) is preserved bit-exactly.
 pub struct GuardedSimulator {
     netlist: Netlist,
     limits: ResourceLimits,
@@ -390,11 +325,15 @@ pub struct GuardedSimulator {
     active: Box<dyn UnitDelaySimulator>,
     factory: Box<dyn EngineFactory>,
     fired: Vec<FiredFallback>,
-    replay: Vec<Vec<bool>>,
     /// Stable state applied before any vector (see
-    /// [`GuardedSimulator::seed_stable`]); a degradation must re-apply
-    /// it to the fresh engine before replaying the vector log.
+    /// [`GuardedSimulator::seed_stable`]); a degradation before the
+    /// first vector re-applies it to the fresh engine.
     seed: Option<Vec<bool>>,
+    /// The last vector run, in one reused buffer; meaningful once
+    /// `vectors_run > 0`.
+    last: Vec<bool>,
+    /// Vectors run since construction or the last seed.
+    vectors_run: usize,
     telemetry: Option<Telemetry>,
 }
 
@@ -416,7 +355,7 @@ impl std::fmt::Debug for GuardedSimulator {
             .field("chain", &self.chain)
             .field("active", &self.active_engine())
             .field("fallbacks_fired", &self.fired.len())
-            .field("vectors_run", &self.replay.len())
+            .field("vectors_run", &self.vectors_run)
             .finish_non_exhaustive()
     }
 }
@@ -434,23 +373,6 @@ impl GuardedSimulator {
     /// Builds with the default chain and factory.
     pub fn new(netlist: &Netlist, limits: ResourceLimits) -> Result<Self, SimError> {
         Self::with_chain(netlist, limits, &Self::DEFAULT_CHAIN)
-    }
-
-    /// Builds with the default chain and factory, reporting compile
-    /// phases, static metrics, and every degradation into `telemetry`.
-    pub fn with_telemetry(
-        netlist: &Netlist,
-        limits: ResourceLimits,
-        telemetry: Telemetry,
-    ) -> Result<Self, SimError> {
-        Self::build(
-            netlist,
-            limits,
-            &Self::DEFAULT_CHAIN,
-            Box::new(DefaultEngineFactory::default()),
-            Some(telemetry),
-            None,
-        )
     }
 
     /// Builds with an explicit chain (tried in order).
@@ -553,8 +475,9 @@ impl GuardedSimulator {
                         active,
                         factory,
                         fired,
-                        replay: Vec::new(),
                         seed: None,
+                        last: Vec::new(),
+                        vectors_run: 0,
                         telemetry,
                     })
                 }
@@ -580,22 +503,24 @@ impl GuardedSimulator {
 
     /// Seeds the guard with a stable state (parallel to the netlist's
     /// nets), as if every vector leading there had been simulated. The
-    /// vector log restarts from the seed, so a later degradation seeds
-    /// the replacement engine the same way before replaying — results
-    /// stay bit-exact across fallbacks. The batch runner seeds each
-    /// shard with the zero-delay settled state of its boundary vector.
+    /// vector count restarts from the seed, and a degradation before
+    /// the next vector seeds the replacement engine the same way. The
+    /// batch runner seeds each shard with the zero-delay settled state
+    /// of its boundary vector.
     pub fn seed_stable(&mut self, stable: &[bool]) {
         self.active.seed_stable(stable);
         self.seed = Some(stable.to_vec());
-        self.replay.clear();
+        self.vectors_run = 0;
     }
 
-    /// A fresh guard sharing this one's netlist, budget, chain,
-    /// factory, and active engine (cloned with its compiled program),
-    /// but with an empty vector log and no telemetry registry — workers
-    /// report timings back to the coordinating thread instead of
-    /// contending on a shared registry. Fallbacks already fired are not
-    /// inherited; each fork degrades independently.
+    /// A fresh guard sharing this one's netlist, budget, chain, and
+    /// factory, with the active engine cloned along with its compiled
+    /// program, its state, and the hand-off state a fallback would seed
+    /// a replacement from — so a fork degrades exactly as this guard
+    /// would. It carries no telemetry registry: workers report timings
+    /// back to the coordinating thread instead of contending on a
+    /// shared registry. Fallbacks already fired are not inherited; each
+    /// fork degrades independently.
     pub fn fork(&self) -> GuardedSimulator {
         GuardedSimulator {
             netlist: self.netlist.clone(),
@@ -605,8 +530,9 @@ impl GuardedSimulator {
             active: self.active.clone_box(),
             factory: self.factory.clone_box(),
             fired: Vec::new(),
-            replay: Vec::new(),
             seed: self.seed.clone(),
+            last: self.last.clone(),
+            vectors_run: self.vectors_run,
             telemetry: None,
         }
     }
@@ -616,9 +542,10 @@ impl GuardedSimulator {
         &self.fired
     }
 
-    /// Number of vectors successfully simulated so far.
+    /// Number of vectors successfully simulated since construction or
+    /// the last [`GuardedSimulator::seed_stable`].
     pub fn vectors_run(&self) -> usize {
-        self.replay.len()
+        self.vectors_run
     }
 
     /// The active engine as a trait object — for consumers like the VCD
@@ -628,52 +555,21 @@ impl GuardedSimulator {
     }
 
     /// Runtime counters of the active engine (see
-    /// [`UnitDelaySimulator::run_counters`]). Counts reset when a
-    /// fallback replaces the engine — the replacement replays the
-    /// vector log, so its totals cover the whole run.
+    /// [`UnitDelaySimulator::run_counters`]). A fallback replaces the
+    /// engine and hands it only the settled state, so after a
+    /// degradation the counts cover the survivor's own vectors since
+    /// the hand-off.
     pub fn run_counters(&self) -> Vec<(&'static str, u64)> {
         self.active.run_counters()
     }
 
     /// Simulates one vector, panic-contained. On an engine panic the
     /// chain degrades: the remaining engines are tried in order, each
-    /// fed the complete vector log before the current vector. Returns
-    /// the engine that (finally) ran the vector.
+    /// seeded with the state the last vector settled to before it runs
+    /// the current vector. Returns the engine that (finally) ran the
+    /// vector.
     pub fn simulate_vector(&mut self, inputs: &[bool]) -> Result<Engine, SimError> {
-        let expected = self.netlist.primary_inputs().len();
-        if inputs.len() != expected {
-            return Err(SimError::new(
-                SimErrorKind::VectorWidth {
-                    expected,
-                    got: inputs.len(),
-                },
-                SimPhase::Run,
-            )
-            .with_engine(self.active_engine()));
-        }
-        self.limits
-            .check_deadline()
-            .map_err(|e| SimError::new(SimErrorKind::Budget(e), SimPhase::Run))?;
-        loop {
-            let active = &mut self.active;
-            let run = panic::catch_unwind(AssertUnwindSafe(|| active.simulate_vector(inputs)));
-            match run {
-                Ok(()) => {
-                    self.replay.push(inputs.to_vec());
-                    return Ok(self.active_engine());
-                }
-                Err(payload) => {
-                    let error = SimError::new(
-                        SimErrorKind::EnginePanicked {
-                            message: panic_message(payload),
-                        },
-                        SimPhase::Run,
-                    )
-                    .with_engine(self.active_engine());
-                    self.degrade(error)?;
-                }
-            }
-        }
+        self.run_vector(inputs, |sim| sim.simulate_vector(inputs))
     }
 
     /// [`GuardedSimulator::simulate_vector`] with per-level time
@@ -685,7 +581,7 @@ impl GuardedSimulator {
     /// observability, not simulation state, so it is never rolled back.
     ///
     /// The guard's own per-vector bookkeeping (width/deadline checks,
-    /// panic containment, the replay-log append) happens between the
+    /// panic containment, keeping the last vector) happens between the
     /// engine's timer lifetimes, so this wrapper times the whole call
     /// and attributes the engine-unattributed remainder to level 0 —
     /// per-vector setup by definition — keeping the sum contract
@@ -698,6 +594,23 @@ impl GuardedSimulator {
     ) -> Result<Engine, SimError> {
         let call_clock = std::time::Instant::now();
         let attributed_before = profile.total_self_ns();
+        let engine = self.run_vector(inputs, |sim| sim.simulate_vector_leveled(inputs, profile))?;
+        let call_ns = u64::try_from(call_clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let engine_ns = profile.total_self_ns() - attributed_before;
+        profile.ensure_level(0);
+        profile.levels[0].self_ns += call_ns.saturating_sub(engine_ns);
+        Ok(engine)
+    }
+
+    /// The one guarded run loop: checks width and deadline, then runs
+    /// `run` on the active engine panic-contained, degrading and
+    /// retrying until an engine finishes the vector or the chain is
+    /// exhausted.
+    fn run_vector(
+        &mut self,
+        inputs: &[bool],
+        mut run: impl FnMut(&mut dyn UnitDelaySimulator),
+    ) -> Result<Engine, SimError> {
         let expected = self.netlist.primary_inputs().len();
         if inputs.len() != expected {
             return Err(SimError::new(
@@ -713,28 +626,17 @@ impl GuardedSimulator {
             .check_deadline()
             .map_err(|e| SimError::new(SimErrorKind::Budget(e), SimPhase::Run))?;
         loop {
-            let active = &mut self.active;
-            let run = panic::catch_unwind(AssertUnwindSafe(|| {
-                active.simulate_vector_leveled(inputs, profile)
-            }));
-            match run {
+            let active = self.active.as_mut();
+            match panic::catch_unwind(AssertUnwindSafe(|| run(active))) {
                 Ok(()) => {
-                    self.replay.push(inputs.to_vec());
-                    let call_ns =
-                        u64::try_from(call_clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    let engine_ns = profile.total_self_ns() - attributed_before;
-                    profile.ensure_level(0);
-                    profile.levels[0].self_ns += call_ns.saturating_sub(engine_ns);
+                    self.last.clear();
+                    self.last.extend_from_slice(inputs);
+                    self.vectors_run += 1;
                     return Ok(self.active_engine());
                 }
                 Err(payload) => {
-                    let error = SimError::new(
-                        SimErrorKind::EnginePanicked {
-                            message: panic_message(payload),
-                        },
-                        SimPhase::Run,
-                    )
-                    .with_engine(self.active_engine());
+                    let error = SimError::from_panic(payload, SimPhase::Run)
+                        .with_engine(self.active_engine());
                     self.degrade(error)?;
                 }
             }
@@ -748,15 +650,21 @@ impl GuardedSimulator {
     }
 
     /// Abandons the active engine for the given reason and brings up
-    /// the next one in the chain that can compile *and* replay the
-    /// vector log. Errors with [`SimErrorKind::ChainExhausted`] when no
-    /// engine remains.
+    /// the next one in the chain that compiles and accepts the hand-off
+    /// state: the zero-delay settle of the last vector run, or the seed
+    /// (power-up when unseeded) if no vector has run since. Errors with
+    /// [`SimErrorKind::ChainExhausted`] when no engine remains.
     fn degrade(&mut self, error: SimError) -> Result<(), SimError> {
         note_fallback(self.telemetry.as_ref(), &error);
         self.fired.push(FiredFallback {
             from: self.active_engine(),
             error,
         });
+        let handoff = if self.vectors_run > 0 {
+            stable_states(&self.netlist, [self.last.as_slice()])?.pop()
+        } else {
+            self.seed.clone()
+        };
         let noop = NoopProbe;
         for position in self.position + 1..self.chain.len() {
             let engine = self.chain[position];
@@ -768,30 +676,17 @@ impl GuardedSimulator {
                 .factory
                 .build_probed(&self.netlist, engine, &self.limits, probe)
                 .and_then(|mut sim| {
-                    let replayed = panic::catch_unwind(AssertUnwindSafe(|| {
-                        if let Some(seed) = &self.seed {
-                            sim.seed_stable(seed);
-                        }
-                        for vector in &self.replay {
-                            sim.simulate_vector(vector);
-                        }
-                    }));
-                    match replayed {
-                        Ok(()) => Ok(sim),
-                        Err(payload) => Err(SimError::new(
-                            SimErrorKind::EnginePanicked {
-                                message: panic_message(payload),
-                            },
-                            SimPhase::Run,
-                        )
-                        .with_engine(engine)),
-                    }
+                    let Some(state) = &handoff else {
+                        return Ok(sim);
+                    };
+                    panic::catch_unwind(AssertUnwindSafe(|| sim.seed_stable(state)))
+                        .map(|()| sim)
+                        .map_err(|payload| {
+                            SimError::from_panic(payload, SimPhase::Run).with_engine(engine)
+                        })
                 });
             match candidate {
                 Ok(sim) => {
-                    if let Some(telemetry) = &self.telemetry {
-                        telemetry.add("guard.replayed_vectors", self.replay.len() as u64);
-                    }
                     self.active = sim;
                     self.position = position;
                     return Ok(());
@@ -828,11 +723,12 @@ impl GuardedSimulator {
     }
 
     /// Cross-checks the surviving engine against a fresh event-driven
-    /// baseline by replaying the complete vector log through both
-    /// (using [`crosscheck::run`]), panic-contained. A divergence is a
+    /// baseline by running `stimulus` — every vector this guard ran
+    /// since construction or its seed — through both (using
+    /// [`crosscheck::run`]), panic-contained. A divergence is a
     /// [`SimErrorKind::Mismatch`]; agreement means every answer this
     /// simulator produced is bit-exact with the baseline.
-    pub fn crosscheck_baseline(&self) -> Result<(), SimError> {
+    pub fn crosscheck_baseline(&self, stimulus: &[Vec<bool>]) -> Result<(), SimError> {
         let engine = self.active_engine();
         let mut baseline: Box<dyn UnitDelaySimulator> = Box::new(
             TracedEventSim::new(&self.netlist)
@@ -845,9 +741,8 @@ impl GuardedSimulator {
         }
         let mut sims = vec![baseline, candidate];
         let netlist = &self.netlist;
-        let replay = &self.replay;
         let checked = panic::catch_unwind(AssertUnwindSafe(|| {
-            crosscheck::run(netlist, &mut sims, replay.iter().cloned())
+            crosscheck::run(netlist, &mut sims, stimulus.iter().cloned())
         }));
         match checked {
             Ok(Ok(())) => Ok(()),
@@ -857,13 +752,9 @@ impl GuardedSimulator {
                 }
                 Err(SimError::from(mismatch).with_engine(engine))
             }
-            Err(payload) => Err(SimError::new(
-                SimErrorKind::EnginePanicked {
-                    message: panic_message(payload),
-                },
-                SimPhase::CrossCheck,
-            )
-            .with_engine(engine)),
+            Err(payload) => {
+                Err(SimError::from_panic(payload, SimPhase::CrossCheck).with_engine(engine))
+            }
         }
     }
 }
@@ -915,19 +806,26 @@ mod tests {
         }
         // The survivor still answers correctly.
         guarded.simulate_vector(&[true]).unwrap();
-        guarded.crosscheck_baseline().unwrap();
+        guarded.crosscheck_baseline(&[vec![true]]).unwrap();
+    }
+
+    /// All 32 input patterns of c17, in counting order.
+    fn exhaustive_c17() -> Vec<Vec<bool>> {
+        (0u32..32)
+            .map(|pattern| (0..5).map(|i| pattern >> i & 1 != 0).collect())
+            .collect()
     }
 
     #[test]
     fn guarded_results_match_baseline() {
         let nl = c17();
         let mut guarded = GuardedSimulator::new(&nl, ResourceLimits::production()).unwrap();
-        for pattern in 0u32..32 {
-            let inputs: Vec<bool> = (0..5).map(|i| pattern >> i & 1 != 0).collect();
-            guarded.simulate_vector(&inputs).unwrap();
+        let stimulus = exhaustive_c17();
+        for inputs in &stimulus {
+            guarded.simulate_vector(inputs).unwrap();
         }
         assert_eq!(guarded.vectors_run(), 32);
-        guarded.crosscheck_baseline().unwrap();
+        guarded.crosscheck_baseline(&stimulus).unwrap();
     }
 
     #[test]
@@ -967,11 +865,11 @@ mod tests {
                 FailureClass::Toolchain
             );
         }
-        for pattern in 0u32..32 {
-            let inputs: Vec<bool> = (0..5).map(|i| pattern >> i & 1 != 0).collect();
-            guarded.simulate_vector(&inputs).unwrap();
+        let stimulus = exhaustive_c17();
+        for inputs in &stimulus {
+            guarded.simulate_vector(inputs).unwrap();
         }
-        guarded.crosscheck_baseline().unwrap();
+        guarded.crosscheck_baseline(&stimulus).unwrap();
     }
 
     #[test]

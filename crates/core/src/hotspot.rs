@@ -29,15 +29,14 @@
 #![allow(clippy::result_large_err)]
 
 use std::collections::VecDeque;
-use std::panic::{self, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use uds_eventsim::zero_delay::stable_states;
 use uds_netlist::{LevelProfile, Netlist};
 
-use crate::error::{SimError, SimErrorKind, SimPhase};
+use crate::batch::run_shards;
+use crate::error::SimError;
 use crate::telemetry::json::Json;
-use crate::{shard_bounds, Engine, GuardedSimulator};
+use crate::{Engine, GuardedSimulator};
 
 /// Schema tag of [`HotspotReport::to_json`] and the serve daemon's
 /// `/debug/hotspots` document.
@@ -140,9 +139,8 @@ impl HotspotReport {
 }
 
 /// Simulates `vectors` through forks of `prototype` across `jobs`
-/// worker threads — the batch runner's sharding, seeded identically —
-/// with every vector profiled, and returns the merged per-level
-/// breakdown. The span is the sum of per-shard simulate walls, so
+/// worker threads — on the batch runner's own shard runner — with
+/// every vector profiled, and returns the merged per-level breakdown. The span is the sum of per-shard simulate walls, so
 /// per-level self-times sum within timer granularity of it at any job
 /// count.
 ///
@@ -158,91 +156,27 @@ pub fn collect(
     jobs: usize,
     word_bits: u32,
 ) -> Result<HotspotReport, SimError> {
-    let expected = netlist.primary_inputs().len();
-    for vector in vectors {
-        if vector.len() != expected {
-            return Err(SimError::new(
-                SimErrorKind::VectorWidth {
-                    expected,
-                    got: vector.len(),
-                },
-                SimPhase::Run,
-            ));
-        }
-    }
-    let bounds = shard_bounds(vectors.len(), jobs);
-    if vectors.is_empty() {
-        return Ok(HotspotReport {
-            engine: prototype.active_engine(),
-            word_bits,
-            vectors: 0,
-            jobs: bounds.len().max(1),
-            span_ns: 0,
-            measured: LevelProfile::default(),
-            static_profile: prototype.level_static_profile(),
-        });
-    }
-
-    // Zero-delay prepass, exactly as the batch runner seeds shards.
-    let boundary_vectors: Vec<&[bool]> = bounds[1..]
-        .iter()
-        .map(|&(start, _)| vectors[start - 1].as_slice())
-        .collect();
-    let seeds = stable_states(netlist, boundary_vectors)?;
-
-    type ShardResult = Result<(LevelProfile, u64, Engine), SimError>;
-    let mut results: Vec<Option<ShardResult>> = (0..bounds.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(bounds.len());
-        for (shard, &(start, len)) in bounds.iter().enumerate() {
-            let mut guard = prototype.fork();
-            let seed = (shard > 0).then(|| seeds[shard - 1].as_slice());
-            let slice = &vectors[start..start + len];
-            handles.push(scope.spawn(move || -> ShardResult {
-                let body = || -> ShardResult {
-                    if let Some(seed) = seed {
-                        guard.seed_stable(seed);
-                    }
-                    let mut profile = LevelProfile::default();
-                    let clock = Instant::now();
-                    for vector in slice {
-                        guard.simulate_vector_leveled(vector, &mut profile)?;
-                    }
-                    let wall_ns = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    Ok((profile, wall_ns, guard.active_engine()))
-                };
-                match panic::catch_unwind(AssertUnwindSafe(body)) {
-                    Ok(result) => result,
-                    Err(payload) => {
-                        let message = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_owned())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".to_owned());
-                        Err(SimError::new(
-                            SimErrorKind::EnginePanicked { message },
-                            SimPhase::Run,
-                        ))
-                    }
-                }
-            }));
-        }
-        for (shard, handle) in handles.into_iter().enumerate() {
-            results[shard] = Some(handle.join().unwrap_or_else(|_| {
-                Err(SimError::new(
-                    SimErrorKind::EnginePanicked {
-                        message: "hotspot shard thread died".to_owned(),
-                    },
-                    SimPhase::Run,
-                ))
-            }));
-        }
-    });
-
+    let results = run_shards(
+        netlist,
+        prototype,
+        vectors,
+        jobs,
+        None,
+        |_, _, guard, slice| {
+            let mut profile = LevelProfile::default();
+            let clock = Instant::now();
+            for vector in slice {
+                guard.simulate_vector_leveled(vector, &mut profile)?;
+            }
+            let wall_ns = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            Ok((profile, wall_ns, guard.active_engine()))
+        },
+    )?;
+    let jobs = results.len().max(1);
     let mut measured = LevelProfile::default();
     let mut span_ns = 0u64;
     let mut engine = prototype.active_engine();
-    for result in results.into_iter().flatten() {
+    for result in results {
         let (profile, wall_ns, shard_engine) = result?;
         measured.merge(&profile);
         span_ns = span_ns.saturating_add(wall_ns);
@@ -254,7 +188,7 @@ pub fn collect(
         engine,
         word_bits,
         vectors: vectors.len(),
-        jobs: bounds.len(),
+        jobs,
         span_ns,
         measured,
         static_profile: prototype.level_static_profile(),

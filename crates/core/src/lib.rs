@@ -95,8 +95,8 @@ pub use cancel::{CancelCause, CancelToken};
 pub use error::{FailureClass, SimError, SimErrorKind, SimPhase};
 pub use guard::{
     build_engine_with_limits, build_engine_with_limits_probed,
-    build_engine_with_limits_probed_word, build_engine_with_limits_word, chain_preferring,
-    DefaultEngineFactory, GuardedSimulator, MonitoringEngineFactory,
+    build_engine_with_limits_probed_word, chain_preferring, DefaultEngineFactory, GuardedSimulator,
+    MonitoringEngineFactory,
 };
 pub use hotspot::{HotspotReport, HotspotRing, HotspotSample, HotspotWindow, HOTSPOT_SCHEMA};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport, LOADGEN_SCHEMA};

@@ -17,9 +17,9 @@
 //! twin's arena: every vector, under the library's call lock, the
 //! wrapper copies the arena *into* the object (`uds_state_set`), runs
 //! `simulate_one_vector`, and copies it back out (`uds_state_get`).
-//! Two memcpys per vector buy full correctness for clones, seeding,
-//! reset, history readback, and fallback replay — every query path
-//! simply reads the twin.
+//! Two memcpys per vector buy full correctness for clones, seeding
+//! (including a fallback's hand-off state), reset, and history
+//! readback — every query path simply reads the twin.
 //!
 //! # Artifact cache
 //!
@@ -545,11 +545,9 @@ mod imp {
                 let po = vec![0u64; twin.monitored().len()];
                 return Ok(Box::new(NativePcSetSim { twin, lib, po }));
             }
-            Engine::Parallel => Optimization::None,
-            Engine::ParallelTrimming => Optimization::Trimming,
-            Engine::ParallelPathTracing => Optimization::PathTracing,
-            Engine::ParallelPathTracingTrimming => Optimization::PathTracingTrimming,
-            Engine::ParallelCycleBreaking => Optimization::CycleBreaking,
+            parallel => parallel
+                .optimization()
+                .expect("every remaining engine is parallel-family"),
         };
         fn parallel<W: Word>(
             netlist: &Netlist,

@@ -65,8 +65,10 @@
 //! their timeline lane. A cache hit therefore leaves *no* compile span
 //! — the observable proof that recompilation was skipped. Queue depth
 //! (`serve.queue_depth`), queue wait (`serve.queue_wait_ms`), end-to-
-//! end latency (`serve.request_ms`), and shed counts (`serve.shed.*`)
-//! export through the same registry as SLO-ready histograms.
+//! end latency (`serve.request_ms`, which for a connection's first
+//! request starts at enqueue and so includes the queue wait), and shed
+//! counts (`serve.shed.*`) export through the same registry as
+//! SLO-ready histograms.
 //!
 //! # Request tracing
 //!
@@ -377,13 +379,12 @@ impl RequestTrace {
         value
     }
 
-    /// Records a phase that ended just now after `wall_ns` (queue wait,
-    /// measured before the trace existed).
-    fn lead_phase(&mut self, name: &str, wall_ns: u64) {
-        let now_ns = ns_since(self.epoch, Instant::now());
+    /// Records a phase measured before the trace existed (queue wait)
+    /// that began at `started` and lasted `wall_ns`.
+    fn lead_phase(&mut self, name: &str, started: Instant, wall_ns: u64) {
         self.push(SpanNode {
             name: name.to_owned(),
-            start_ns: now_ns.saturating_sub(wall_ns),
+            start_ns: ns_since(self.epoch, started),
             wall_ns,
             tid: 0,
             children: Vec::new(),
@@ -1135,7 +1136,12 @@ impl SimServer {
                 // the mid-request read budget.
                 let _ = stream.set_read_timeout(socket_timeout(self.config.idle_timeout));
             }
-            let clock = Instant::now();
+            // The first request's clock starts at enqueue, so its queue
+            // wait nests inside the request span and its logged wall.
+            let clock = match enqueued {
+                Some(at) if served == 0 => at,
+                _ => Instant::now(),
+            };
             match read_request(&mut reader, self.config.max_body_bytes) {
                 Ok(request) => {
                     let _ = stream.set_read_timeout(socket_timeout(self.config.read_timeout));
@@ -1150,7 +1156,7 @@ impl SimServer {
                         .unwrap_or_else(|| self.next_trace_id(conn));
                     let mut trace = RequestTrace::new(trace_id, self.telemetry.epoch(), conn);
                     if served == 1 && queue_wait_ns > 0 {
-                        trace.lead_phase("serve.queue_wait", queue_wait_ns);
+                        trace.lead_phase("serve.queue_wait", clock, queue_wait_ns);
                     }
                     let (response, facts) = self.route(&request, peer, context, &mut trace);
                     let response = response.with_header(TRACE_ID_HEADER, trace.id.clone());

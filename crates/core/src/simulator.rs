@@ -396,6 +396,19 @@ impl Engine {
         }
         Engine::ALL.into_iter().find(|e| e.to_string() == name)
     }
+
+    /// The parallel-technique optimization this engine compiles with,
+    /// or `None` outside the parallel family.
+    pub(crate) fn optimization(self) -> Option<Optimization> {
+        Some(match self {
+            Engine::Parallel => Optimization::None,
+            Engine::ParallelTrimming => Optimization::Trimming,
+            Engine::ParallelPathTracing => Optimization::PathTracing,
+            Engine::ParallelPathTracingTrimming => Optimization::PathTracingTrimming,
+            Engine::ParallelCycleBreaking => Optimization::CycleBreaking,
+            Engine::EventDriven | Engine::PcSet | Engine::Native => return None,
+        })
+    }
 }
 
 impl fmt::Display for Engine {
@@ -518,11 +531,6 @@ pub fn build_simulator_with_word(
                 PcSetSimulator::compile(netlist).map_err(|e| err(e.to_string()))?,
             ))
         }
-        Engine::Parallel => Optimization::None,
-        Engine::ParallelTrimming => Optimization::Trimming,
-        Engine::ParallelPathTracing => Optimization::PathTracing,
-        Engine::ParallelPathTracingTrimming => Optimization::PathTracingTrimming,
-        Engine::ParallelCycleBreaking => Optimization::CycleBreaking,
         Engine::Native => {
             return crate::native::build_native(
                 netlist,
@@ -533,6 +541,9 @@ pub fn build_simulator_with_word(
             )
             .map_err(|e| err(e.to_string()))
         }
+        parallel => parallel
+            .optimization()
+            .expect("every remaining engine is parallel-family"),
     };
     match word {
         WordWidth::W32 => parallel::<u32>(netlist, optimization, engine),

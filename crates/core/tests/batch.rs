@@ -6,7 +6,11 @@
 
 use uds_core::chaos::{ChaosFactory, Fault, FaultPlan};
 use uds_core::vectors::RandomVectors;
-use uds_core::{run_batch, DefaultEngineFactory, Engine, GuardedSimulator, Telemetry, WordWidth};
+use uds_core::{
+    build_simulator, run_batch, DefaultEngineFactory, Engine, GuardedSimulator,
+    MonitoringEngineFactory, Telemetry, WordWidth,
+};
+use uds_netlist::generators::iscas::Iscas85;
 use uds_netlist::generators::random::{layered, LayeredConfig};
 use uds_netlist::{Netlist, ResourceLimits};
 
@@ -162,4 +166,90 @@ fn forked_guards_inherit_the_prototype_seed() {
     prototype.seed_stable(&settled);
     let out = run_batch(&nl, &prototype, &vectors[10..], 3, None).unwrap();
     assert_eq!(out.rows.as_slice(), &expected[10..]);
+
+    // The seed reproduces every net's full waveform, not just settled
+    // values: a fork seeded with the zero-delay settle of vector 3
+    // matches the event-driven run of the whole stream on the history
+    // of every net, for every engine and word width.
+    for circuit in [Iscas85::C432, Iscas85::C1908] {
+        let nl = circuit.build();
+        let vectors = stimulus(&nl, 16);
+        let mut reference = build_simulator(&nl, Engine::EventDriven).unwrap();
+        let mut expected: Vec<Vec<Option<Vec<bool>>>> = Vec::new();
+        for (index, vector) in vectors.iter().enumerate() {
+            reference.simulate_vector(vector);
+            if index > 3 {
+                expected.push(nl.net_ids().map(|net| reference.history(net)).collect());
+            }
+        }
+        let settled = uds_eventsim::zero_delay::stable_states(&nl, [vectors[3].as_slice()])
+            .unwrap()
+            .remove(0);
+        for engine in Engine::ALL {
+            for word in [WordWidth::W32, WordWidth::W64] {
+                let factory = Box::new(MonitoringEngineFactory::with_word(word));
+                let mut prototype = GuardedSimulator::with_factory(
+                    &nl,
+                    ResourceLimits::unlimited(),
+                    &[engine],
+                    factory,
+                )
+                .unwrap();
+                prototype.seed_stable(&settled);
+                let mut fork = prototype.fork();
+                for (vector, expected) in vectors[4..].iter().zip(&expected) {
+                    fork.simulate_vector(vector).unwrap();
+                    let got: Vec<Option<Vec<bool>>> =
+                        nl.net_ids().map(|net| fork.history(net)).collect();
+                    assert_eq!(&got, expected, "{circuit:?} {engine} {word:?}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn forked_guard_degrades_from_the_prototype_state() {
+    // A prototype that has run vectors hands its fork the state a
+    // fallback must start from: the fork panics on its first vector,
+    // degrades, and the replacement must reproduce the event-driven
+    // waveform of every net — not one started from power-up.
+    let nl = Iscas85::C432.build();
+    let vectors = stimulus(&nl, 5);
+    let plan = FaultPlan::single(
+        "fork-handoff",
+        Fault::RunPanicAt {
+            engine: Engine::Parallel,
+            vector: 4,
+        },
+    );
+    let mut prototype = GuardedSimulator::with_factory(
+        &nl,
+        ResourceLimits::production(),
+        &[Engine::Parallel, Engine::EventDriven],
+        Box::new(ChaosFactory::new(plan)),
+    )
+    .unwrap();
+    for vector in &vectors[..4] {
+        prototype.simulate_vector(vector).unwrap();
+    }
+    let mut fork = prototype.fork();
+    assert_eq!(
+        fork.simulate_vector(&vectors[4]).unwrap(),
+        Engine::EventDriven
+    );
+    assert_eq!(fork.fallbacks().len(), 1);
+
+    let mut reference = build_simulator(&nl, Engine::EventDriven).unwrap();
+    for vector in &vectors {
+        reference.simulate_vector(vector);
+    }
+    for net in nl.net_ids() {
+        assert_eq!(
+            fork.history(net),
+            reference.history(net),
+            "net {}",
+            nl.net_name(net)
+        );
+    }
 }

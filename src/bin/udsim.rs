@@ -750,7 +750,7 @@ fn simulate_guarded(
     if crosscheck {
         let _span = telemetry.map(|t| t.span("crosscheck"));
         guarded
-            .crosscheck_baseline()
+            .crosscheck_baseline(stimulus)
             .map_err(|e| CliError::from(e.with_circuit(nl.name())))?;
         eprintln!(
             "cross-check: {} agrees with the event-driven baseline over {} vectors",
