@@ -852,6 +852,7 @@ mod tests {
         // With a C toolchain the native engine heads the chain; without
         // one the toolchain failure is contained and an interpreted
         // engine takes over. Either way the answers cross-check.
+        let _env = crate::native::env_lock();
         let nl = c17();
         let chain = chain_preferring(Some(Engine::Native));
         let mut guarded =

@@ -5,31 +5,32 @@
 //! interpreted twin, emits its C translation unit
 //! (`codegen_c::emit_native`), invokes the host C compiler (`cc
 //! -shared -fPIC -O2`), `dlopen`s the shared object, and wraps both in
-//! a [`UnitDelaySimulator`] whose `simulate_one_vector` is machine
-//! code.
+//! a [`UnitDelaySimulator`] whose vectors run as machine code.
 //!
-//! # State handshake
+//! # Caller-owned state
 //!
-//! A shared object's `static word` variables are process-global, and
-//! `dlopen` of the same path returns one handle — two simulators
-//! loading the same artifact would trample each other's retained
-//! state. The authoritative state therefore lives in the interpreted
-//! twin's arena: every vector, under the library's call lock, the
-//! wrapper copies the arena *into* the object (`uds_state_set`), runs
-//! `simulate_one_vector`, and copies it back out (`uds_state_get`).
-//! Two memcpys per vector buy full correctness for clones, seeding
-//! (including a fallback's hand-off state), reset, and history
-//! readback — every query path simply reads the twin.
+//! The emitted C owns no state: it is one function per compile-time
+//! level segment over an arena the caller passes in, and one exported
+//! driver, `uds_run(s, pi, tick, ctx)`, that calls them in order. The
+//! twin's arena is that state — each vector the wrapper latches the
+//! twin's tracked finals and runs `uds_run` over the twin's arena, so
+//! clones, seeding (including a fallback's hand-off state), reset, and
+//! history readback all work on the twin with no copy in or out. With
+//! nothing shared inside the object, any number of simulators (the
+//! `--jobs` shards included) call one loaded library concurrently,
+//! without a lock. The profiled path makes the same call with a `tick`
+//! that reports each finished block to a [`uds_netlist::LevelTimer`].
 //!
 //! # Artifact cache
 //!
 //! Compiled objects land in [`cache_dir`] (`$UDS_NATIVE_CACHE`, or
 //! `uds-native-cache` under the system temp dir) named
-//! `{netlist_hash:016x}-{flavor}-w{bits}.so`, where the hash is the
-//! same canonical-netlist FNV the serve LRU keys on
+//! `{netlist_hash:016x}-{flavor}-w{bits}-run.so`, where the hash is
+//! the same canonical-netlist FNV the serve LRU keys on
 //! ([`crate::cache::netlist_hash`]). A fresh process finds the
 //! artifact on disk and skips the `cc` invocation entirely; within a
-//! process an additional registry shares one loaded library per path.
+//! process a registry loads each path once and runs `cc` once per
+//! artifact, however many builds ask for it concurrently.
 //! Cache traffic is reported through the build probe as the monotonic
 //! counters `native.cache.memory_hit`, `native.cache.disk_hit`, and
 //! `native.cache.compile`.
@@ -120,9 +121,11 @@ mod imp {
     use std::os::raw::c_void;
     use std::path::{Path, PathBuf};
     use std::process::Command;
-    use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+    use std::sync::{Mutex, OnceLock};
 
-    use uds_netlist::{NetId, Netlist, Probe, ResourceLimits};
+    use uds_netlist::{
+        LevelProfile, LevelSegment, LevelTimer, NetId, Netlist, Probe, ResourceLimits,
+    };
     use uds_parallel::{Optimization, ParallelSim, Word};
     use uds_pcset::PcSetSimulator;
 
@@ -130,6 +133,11 @@ mod imp {
     use crate::cache::netlist_hash;
     use crate::error::SimError;
     use crate::{Engine, UnitDelaySimulator, WordWidth};
+
+    /// Names the emitted entry points in every artifact file name, so a
+    /// cache directory shared with a build whose emitter exported other
+    /// symbols never hands this one an object it cannot drive.
+    const ARTIFACT_ABI: &str = "run";
 
     /// The raw loader interface. glibc ships `dlopen` in libc proper,
     /// so no link flags are needed; the declarations stay local to keep
@@ -159,108 +167,76 @@ mod imp {
         }
     }
 
-    /// One loaded shared object: the `dlopen` handle's three exported
-    /// functions plus the call lock that serializes the state
-    /// handshake. The handle is never `dlclose`d — the process-wide
-    /// registry keeps every loaded artifact alive, which is exactly
-    /// the amortization a long-lived daemon wants.
-    pub struct NativeLib {
-        simulate: *mut c_void,
-        state_set: *mut c_void,
-        state_get: *mut c_void,
-        call_lock: Mutex<()>,
+    /// The emitted entry point, generic over the word type:
+    /// `uds_run(word *restrict s, const word *restrict pi, tick, ctx)`.
+    /// It touches nothing but `s` and `pi`, so calls into one loaded
+    /// library from any number of threads need no lock.
+    type Run = unsafe extern "C" fn(*mut c_void, *const c_void, Option<Tick>, *mut c_void);
+
+    /// The profiling hook `uds_run` calls after each level block.
+    type Tick = extern "C" fn(*mut c_void, u32);
+
+    /// Where `uds_run`'s tick lands during a profiled vector.
+    struct Profiled<'a, 'p> {
+        timer: &'a mut LevelTimer<'p>,
+        segments: &'a [LevelSegment],
     }
 
-    // Safety: the raw pointers are immutable code addresses; all calls
-    // through them go through `call_lock`.
-    unsafe impl Send for NativeLib {}
-    unsafe impl Sync for NativeLib {}
-
-    fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-        mutex
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    /// Credits level block `index` (just finished) to its level.
+    extern "C" fn tick(ctx: *mut c_void, index: u32) {
+        // Safety: `NativeSim::step` passes a `Profiled` it exclusively
+        // borrows for the whole `uds_run` call, and only with this tick.
+        let profiled = unsafe { &mut *ctx.cast::<Profiled<'_, '_>>() };
+        // A panic cannot unwind out of a C caller, so no indexing here.
+        let Some(segment) = profiled.segments.get(index as usize) else {
+            return;
+        };
+        profiled.timer.segment(
+            segment.level,
+            segment.word_ops,
+            segment.gate_evals,
+            segment.bytes_touched_est,
+        );
     }
 
-    impl NativeLib {
-        fn open(path: &Path) -> Result<NativeLib, SimError> {
-            use std::os::unix::ffi::OsStrExt;
-            let cpath = CString::new(path.as_os_str().as_bytes())
-                .map_err(|_| toolchain_error("artifact path contains a NUL byte"))?;
-            // Safety: dlopen/dlsym on a path we just compiled; symbol
-            // names are static NUL-terminated literals.
-            unsafe {
-                dl::dlerror();
-                let handle = dl::dlopen(cpath.as_ptr(), dl::RTLD_NOW);
-                if handle.is_null() {
-                    return Err(toolchain_error(format!(
-                        "dlopen of {} failed: {}",
-                        path.display(),
-                        dl_error()
-                    )));
-                }
-                let sym = |name: &'static str| -> Result<*mut c_void, SimError> {
-                    let cname = CString::new(name).expect("static symbol name");
-                    let ptr = dl::dlsym(handle, cname.as_ptr());
-                    if ptr.is_null() {
-                        return Err(toolchain_error(format!(
-                            "{} does not export `{name}`: {}",
-                            path.display(),
-                            dl_error()
-                        )));
-                    }
-                    Ok(ptr)
-                };
-                Ok(NativeLib {
-                    simulate: sym("simulate_one_vector")?,
-                    state_set: sym("uds_state_set")?,
-                    state_get: sym("uds_state_get")?,
-                    call_lock: Mutex::new(()),
-                })
+    /// Loads the artifact at `path` and binds its `uds_run`. The handle
+    /// is never `dlclose`d: the process-wide registry keeps every
+    /// loaded artifact alive, which is exactly the amortization a
+    /// long-lived daemon wants.
+    fn open(path: &Path) -> Result<Run, SimError> {
+        use std::os::unix::ffi::OsStrExt;
+        let cpath = CString::new(path.as_os_str().as_bytes())
+            .map_err(|_| toolchain_error("artifact path contains a NUL byte"))?;
+        // Safety: dlopen/dlsym on a path we compiled; the symbol name is
+        // a NUL-terminated literal, and the emitter fixes `uds_run`'s
+        // signature to `Run`.
+        unsafe {
+            dl::dlerror();
+            let handle = dl::dlopen(cpath.as_ptr(), dl::RTLD_NOW);
+            if handle.is_null() {
+                return Err(toolchain_error(format!(
+                    "dlopen of {} failed: {}",
+                    path.display(),
+                    dl_error()
+                )));
             }
-        }
-
-        /// One parallel-flavor vector: state in, simulate, state out,
-        /// atomically with respect to every other user of this object.
-        fn call_parallel<W: Word>(&self, arena: &mut [W], pi: &[W]) {
-            let _guard = lock(&self.call_lock);
-            // Safety: the shared object was compiled from this twin's
-            // program, so its arena order and input count match; the
-            // signatures are fixed by the emitter.
-            unsafe {
-                let set: unsafe extern "C" fn(*const W) = std::mem::transmute(self.state_set);
-                let sim: unsafe extern "C" fn(*const W) = std::mem::transmute(self.simulate);
-                let get: unsafe extern "C" fn(*mut W) = std::mem::transmute(self.state_get);
-                set(arena.as_ptr());
-                sim(pi.as_ptr());
-                get(arena.as_mut_ptr());
+            let run = dl::dlsym(handle, c"uds_run".as_ptr());
+            if run.is_null() {
+                return Err(toolchain_error(format!(
+                    "{} does not export `uds_run`: {}",
+                    path.display(),
+                    dl_error()
+                )));
             }
-        }
-
-        /// One PC-set-flavor vector (inputs pre-broadcast to stream
-        /// words, monitored finals written to `po`).
-        fn call_pcset(&self, arena: &mut [u64], pi: &[u64], po: &mut [u64]) {
-            let _guard = lock(&self.call_lock);
-            // Safety: as in `call_parallel`; the PC-set emitter's
-            // signature additionally takes the output buffer.
-            unsafe {
-                let set: unsafe extern "C" fn(*const u64) = std::mem::transmute(self.state_set);
-                let sim: unsafe extern "C" fn(*const u64, *mut u64) =
-                    std::mem::transmute(self.simulate);
-                let get: unsafe extern "C" fn(*mut u64) = std::mem::transmute(self.state_get);
-                set(arena.as_ptr());
-                sim(pi.as_ptr(), po.as_mut_ptr());
-                get(arena.as_mut_ptr());
-            }
+            Ok(std::mem::transmute::<*mut c_void, Run>(run))
         }
     }
 
-    /// One loaded library per artifact path, process-wide. Shared
-    /// statics make two independent loads of one path hazardous; the
-    /// registry guarantees a single [`NativeLib`] (and so a single
-    /// call lock) per artifact.
-    fn registry() -> &'static Mutex<HashMap<PathBuf, Arc<NativeLib>>> {
-        static REGISTRY: OnceLock<Mutex<HashMap<PathBuf, Arc<NativeLib>>>> = OnceLock::new();
+    /// One loaded library per artifact path, process-wide, so each
+    /// artifact is `dlopen`ed once and `cc` runs once per artifact even
+    /// under concurrent builds.
+    fn registry() -> &'static Mutex<HashMap<PathBuf, Run>> {
+        static REGISTRY: OnceLock<Mutex<HashMap<PathBuf, Run>>> = OnceLock::new();
         REGISTRY.get_or_init(Mutex::default)
     }
 
@@ -339,18 +315,16 @@ mod imp {
     /// The loaded library for `path`, from (in order) the in-process
     /// registry, the on-disk artifact cache, or a fresh `cc` run over
     /// `source`. Reports which tier answered through `probe`.
-    fn get_or_load(
-        path: &Path,
-        source: &str,
-        probe: &dyn Probe,
-    ) -> Result<Arc<NativeLib>, SimError> {
+    fn get_or_load(path: &Path, source: &str, probe: &dyn Probe) -> Result<Run, SimError> {
         // The registry lock is held across compile: a daemon taking
         // many concurrent requests for one netlist must run `cc` once,
         // not once per worker.
-        let mut libs = lock(registry());
-        if let Some(lib) = libs.get(path) {
+        let mut libs = registry()
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if let Some(&run) = libs.get(path) {
             probe.count("native.cache.memory_hit", 1);
-            return Ok(Arc::clone(lib));
+            return Ok(run);
         }
         if path.exists() {
             probe.count("native.cache.disk_hit", 1);
@@ -358,14 +332,16 @@ mod imp {
             compile_so(source, path)?;
             probe.count("native.cache.compile", 1);
         }
-        let lib = Arc::new(NativeLib::open(path)?);
-        libs.insert(path.to_path_buf(), Arc::clone(&lib));
-        Ok(lib)
+        let run = open(path)?;
+        libs.insert(path.to_path_buf(), run);
+        Ok(run)
     }
 
     fn artifact_path(hash: u64, flavor: &str, bits: u32, monitoring: bool) -> PathBuf {
         let mon = if monitoring { "-mon" } else { "" };
-        cache_dir().join(format!("{hash:016x}-{flavor}{mon}-w{bits}.so"))
+        cache_dir().join(format!(
+            "{hash:016x}-{flavor}{mon}-w{bits}-{ARTIFACT_ABI}.so"
+        ))
     }
 
     fn flavor_key(optimization: Optimization) -> &'static str {
@@ -379,25 +355,99 @@ mod imp {
         }
     }
 
-    /// The parallel twin + its compiled shared object.
-    struct NativeParallelSim<W: Word> {
-        twin: ParallelSim<W>,
-        lib: Arc<NativeLib>,
+    /// An interpreted engine whose arena can serve as native state: the
+    /// twin of a [`NativeSim`].
+    trait Twin: UnitDelaySimulator + Clone + 'static {
+        /// The arena word the emitted C computes on.
+        type Word: Copy + Send + 'static;
+
+        /// The `pi` word the emitted C reads for one input bit.
+        fn input_word(bit: bool) -> Self::Word;
+
+        /// Latches per-vector bookkeeping, then hands `run` the arena
+        /// and the level segments the emitted blocks execute.
+        fn run_with(
+            &mut self,
+            inputs: &[bool],
+            run: impl FnOnce(&mut [Self::Word], &[LevelSegment]),
+        );
     }
 
-    impl<W: Word> UnitDelaySimulator for NativeParallelSim<W> {
+    impl<W: Word> Twin for ParallelSim<W> {
+        type Word = W;
+
+        fn input_word(bit: bool) -> W {
+            W::splat(bit) & W::ONE
+        }
+
+        fn run_with(&mut self, inputs: &[bool], run: impl FnOnce(&mut [W], &[LevelSegment])) {
+            self.simulate_vector_with(inputs, run);
+        }
+    }
+
+    impl Twin for PcSetSimulator {
+        type Word = u64;
+
+        fn input_word(bit: bool) -> u64 {
+            u64::from(bit).wrapping_neg()
+        }
+
+        fn run_with(&mut self, inputs: &[bool], run: impl FnOnce(&mut [u64], &[LevelSegment])) {
+            self.simulate_vector_with(inputs, run);
+        }
+    }
+
+    /// A twin, whose arena is the native code's state, plus its
+    /// compiled level blocks. Every query reads the twin.
+    #[derive(Clone)]
+    struct NativeSim<T: Twin> {
+        twin: T,
+        run: Run,
+        /// Input words, rewritten in place every vector.
+        pi: Vec<T::Word>,
+    }
+
+    impl<T: Twin> NativeSim<T> {
+        fn boxed(twin: T, run: Run, inputs: usize) -> Box<dyn UnitDelaySimulator> {
+            let pi = vec![T::input_word(false); inputs];
+            Box::new(NativeSim { twin, run, pi })
+        }
+
+        /// One vector through `uds_run`; a `timer` additionally hears
+        /// each level block as it ends.
+        fn step(&mut self, inputs: &[bool], timer: Option<&mut LevelTimer<'_>>) {
+            for (word, &bit) in self.pi.iter_mut().zip(inputs) {
+                *word = T::input_word(bit);
+            }
+            let (run, pi) = (self.run, &self.pi);
+            self.twin.run_with(inputs, |arena, segments| {
+                let (s, pi) = (arena.as_mut_ptr().cast(), pi.as_ptr().cast());
+                // Safety: `run` was compiled from this twin's program
+                // (the artifact path names netlist, flavor, width and
+                // monitoring), so `arena` is its state and its word
+                // type; `pi` holds one word per primary input, and
+                // `run_with` checked `inputs` against that count.
+                unsafe {
+                    match timer {
+                        None => run(s, pi, None, std::ptr::null_mut()),
+                        Some(timer) => {
+                            let mut profiled = Profiled { timer, segments };
+                            let ctx = std::ptr::addr_of_mut!(profiled).cast();
+                            run(s, pi, Some(tick), ctx);
+                        }
+                    }
+                }
+            });
+        }
+    }
+
+    impl<T: Twin> UnitDelaySimulator for NativeSim<T> {
         fn engine_name(&self) -> &'static str {
             "native"
         }
 
         fn simulate_vector(&mut self, inputs: &[bool]) {
-            let pi: Vec<W> = inputs
-                .iter()
-                .map(|&b| if b { W::ONE } else { W::ZERO })
-                .collect();
-            let lib = &self.lib;
-            self.twin
-                .simulate_vector_with(inputs, |arena| lib.call_parallel(arena, &pi));
+            self.step(inputs, None);
         }
 
         fn final_value(&self, net: NetId) -> bool {
@@ -421,97 +471,19 @@ mod imp {
         }
 
         fn clone_box(&self) -> Box<dyn UnitDelaySimulator> {
-            Box::new(NativeParallelSim {
-                twin: self.twin.clone(),
-                lib: Arc::clone(&self.lib),
-            })
+            Box::new(self.clone())
         }
 
         fn for_each_toggle(&self, net: NetId, visit: &mut dyn FnMut(u32)) -> Option<u32> {
-            self.twin.for_each_toggle_in_field(net, visit)
+            self.twin.for_each_toggle(net, visit)
         }
 
-        fn simulate_vector_leveled(
-            &mut self,
-            inputs: &[bool],
-            profile: &mut uds_netlist::LevelProfile,
-        ) {
-            // Per-level attribution needs the segmented interpreter, so
-            // the profiled path runs the twin (same program, same
-            // state) instead of the opaque machine-code loop. Hotspot
-            // reports for `native` therefore describe the interpreted
-            // twin's cost shape — which shares the native code's
-            // per-level structure, just not its constant factor.
-            self.twin.simulate_vector_leveled(inputs, profile);
+        fn simulate_vector_leveled(&mut self, inputs: &[bool], profile: &mut LevelProfile) {
+            self.step(inputs, Some(&mut LevelTimer::new(profile)));
         }
 
-        fn level_static_profile(&self) -> Option<uds_netlist::LevelProfile> {
-            Some(self.twin.level_static_profile())
-        }
-    }
-
-    /// The PC-set twin + its compiled shared object.
-    struct NativePcSetSim {
-        twin: PcSetSimulator,
-        lib: Arc<NativeLib>,
-        /// Scratch for the emitted `po` buffer (monitored finals) —
-        /// the wrapper reads results from the twin's arena instead.
-        po: Vec<u64>,
-    }
-
-    impl UnitDelaySimulator for NativePcSetSim {
-        fn engine_name(&self) -> &'static str {
-            "native"
-        }
-
-        fn simulate_vector(&mut self, inputs: &[bool]) {
-            let lib = &self.lib;
-            let po = &mut self.po;
-            self.twin
-                .simulate_vector_with(inputs, |arena, words| lib.call_pcset(arena, words, po));
-        }
-
-        fn final_value(&self, net: NetId) -> bool {
-            self.twin.final_value(net)
-        }
-
-        fn history(&self, net: NetId) -> Option<Vec<bool>> {
-            self.twin.history(net)
-        }
-
-        fn depth(&self) -> u32 {
-            self.twin.depth()
-        }
-
-        fn reset(&mut self) {
-            self.twin.reset();
-        }
-
-        fn seed_stable(&mut self, stable: &[bool]) {
-            self.twin.seed_stable(stable);
-        }
-
-        fn clone_box(&self) -> Box<dyn UnitDelaySimulator> {
-            Box::new(NativePcSetSim {
-                twin: self.twin.clone(),
-                lib: Arc::clone(&self.lib),
-                po: self.po.clone(),
-            })
-        }
-
-        fn simulate_vector_leveled(
-            &mut self,
-            inputs: &[bool],
-            profile: &mut uds_netlist::LevelProfile,
-        ) {
-            // As in the parallel wrapper: the profiled path runs the
-            // interpreted twin, whose per-level segments mirror the
-            // emitted C's statement order.
-            self.twin.simulate_vector_leveled(inputs, profile);
-        }
-
-        fn level_static_profile(&self) -> Option<uds_netlist::LevelProfile> {
-            Some(self.twin.level_static_profile())
+        fn level_static_profile(&self) -> Option<LevelProfile> {
+            self.twin.level_static_profile()
         }
     }
 
@@ -541,9 +513,8 @@ mod imp {
                 let source = uds_pcset::codegen_c::emit_native(netlist, &twin)
                     .map_err(|e| toolchain_error(format!("emit: {e}")))?;
                 let path = artifact_path(hash, "pcset", 64, monitoring);
-                let lib = get_or_load(&path, &source, probe)?;
-                let po = vec![0u64; twin.monitored().len()];
-                return Ok(Box::new(NativePcSetSim { twin, lib, po }));
+                let run = get_or_load(&path, &source, probe)?;
+                return Ok(NativeSim::boxed(twin, run, netlist.primary_inputs().len()));
             }
             parallel => parallel
                 .optimization()
@@ -570,8 +541,8 @@ mod imp {
             let source = uds_parallel::codegen_c::emit_native(netlist, &twin)
                 .map_err(|e| toolchain_error(format!("emit: {e}")))?;
             let path = artifact_path(hash, flavor_key(optimization), W::BITS, monitoring);
-            let lib = get_or_load(&path, &source, probe)?;
-            Ok(Box::new(NativeParallelSim { twin, lib }))
+            let run = get_or_load(&path, &source, probe)?;
+            Ok(NativeSim::boxed(twin, run, netlist.primary_inputs().len()))
         }
         match word {
             WordWidth::W32 => {
@@ -610,21 +581,22 @@ mod imp {
     }
 }
 
+/// The missing-compiler test overrides `$UDS_CC`, which every native
+/// build reads live — unit tests that build a native engine hold this
+/// so they cannot interleave with it.
+#[cfg(test)]
+pub(crate) fn env_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(all(test, unix))]
 mod tests {
     use super::*;
     use crate::TracedEventSim;
     use uds_netlist::generators::iscas::c17;
     use uds_netlist::NoopProbe;
-
-    /// The missing-compiler test overrides `$UDS_CC`, which every
-    /// native build reads live — hold this across any test that
-    /// touches the toolchain so they cannot interleave.
-    fn env_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 
     fn skip_notice() -> bool {
         if compiler_available() {

@@ -7,7 +7,9 @@
 //! its line count tracks the generated-code-size comparison between the
 //! techniques. The output is self-contained — every referenced
 //! identifier is defined in the same translation unit — so `cc` can
-//! compile it directly (the native engine does exactly that).
+//! compile it directly. [`emit_native`] wraps the same statements as
+//! the native engine runs them: per-level blocks over a caller-owned
+//! arena.
 
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
@@ -72,10 +74,14 @@ pub fn emit<W: Word>(netlist: &Netlist, simulator: &ParallelSim<W>) -> Result<St
     emit_impl(netlist, simulator, false)
 }
 
-/// Like [`emit`], but additionally exporting `uds_state_set` /
-/// `uds_state_get` functions that copy the whole arena (in arena-index
-/// order) in and out of the shared object — the handshake the native
-/// engine uses to keep the interpreted twin's arena authoritative.
+/// Like [`emit`], but as the native engine's translation unit: the C
+/// owns no state. Arena word `k` is `s[k]` of a caller-owned
+/// `word *restrict s`, and each compile-time level segment
+/// (`ParallelSim::level_segments`) becomes its own `noinline`
+/// function `uds_block_<i>`. The one exported function,
+/// `uds_run(s, pi, tick, ctx)`, runs the blocks in order: one vector.
+/// Bounded functions keep `cc -O2` time near linear in the circuit
+/// size.
 pub fn emit_native<W: Word>(
     netlist: &Netlist,
     simulator: &ParallelSim<W>,
@@ -114,10 +120,261 @@ fn emit_impl<W: Word>(
             program_inputs: program.input_count,
         });
     }
-    // Name every arena word: field words get net-derived names,
-    // scratch words get t<k>. Sanitized stems are deduplicated (and the
-    // aliases themselves reserved), so no two nets share a C variable.
-    let mut names: Vec<String> = (0..program.arena_words).map(|w| format!("t{w}")).collect();
+    let b = W::BITS;
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "/* parallel-technique unit-delay simulation of `{}` ({}) */",
+        netlist.name(),
+        simulator.optimization()
+    );
+    let _ = writeln!(out, "#include <stdint.h>");
+    let _ = writeln!(out, "typedef {} word;", W::C_TYPE);
+    let names: Vec<String> = if native {
+        (0..program.arena_words)
+            .map(|w| format!("s[{w}]"))
+            .collect()
+    } else {
+        let names = field_names(netlist, simulator);
+        // Initializers reproduce the simulator's consistent power-up
+        // state (every field filled with the value the circuit settles
+        // to under all-zero inputs), so the first vector's retained bits
+        // are right.
+        let initial = simulator.initial_arena();
+        for (slot, name) in names.iter().enumerate() {
+            let value = if initial[slot] != W::ZERO {
+                "~(word)0"
+            } else {
+                "0"
+            };
+            let _ = writeln!(out, "static word {name} = {value};");
+        }
+        names
+    };
+    if !native {
+        let _ = writeln!(out, "\nvoid simulate_one_vector(const word *pi)\n{{");
+    }
+    // The segments tile the op stream in order: the plain emit runs
+    // them in one function, the native one wraps each in its own.
+    let segments = simulator.level_segments();
+    for (index, segment) in segments.iter().enumerate() {
+        if native {
+            let _ = writeln!(
+                out,
+                "\n__attribute__((noinline, visibility(\"hidden\")))\n\
+                 void uds_block_{index}(word *restrict s, const word *restrict pi)\n{{"
+            );
+        }
+        for op in &program.ops[segment.start..segment.end] {
+            match *op {
+                WOp::Eval {
+                    kind,
+                    dst,
+                    first_operand,
+                    operand_count,
+                } => {
+                    let operands: Vec<&str> = (first_operand
+                        ..first_operand + u32::from(operand_count))
+                        .map(|i| names[program.operands[i as usize] as usize].as_str())
+                        .collect();
+                    let _ = writeln!(
+                        out,
+                        "    {} = {};",
+                        names[dst as usize],
+                        gate_expression(kind, &operands)
+                    );
+                }
+                WOp::MergeShl1Low { dst, src } => {
+                    let _ = writeln!(
+                        out,
+                        "    {} |= {} << 1;",
+                        names[dst as usize], names[src as usize]
+                    );
+                }
+                WOp::MergeShl1 { dst, src, carry } => {
+                    let _ = writeln!(
+                        out,
+                        "    {} |= ({} << 1) | ({} >> {});",
+                        names[dst as usize],
+                        names[src as usize],
+                        names[carry as usize],
+                        b - 1
+                    );
+                }
+                WOp::BroadcastBit { dst, src, bit } => {
+                    let _ = writeln!(
+                        out,
+                        "    {} = (word)0 - ({} >> {bit} & 1);",
+                        names[dst as usize], names[src as usize]
+                    );
+                }
+                WOp::ExtractBit { dst, src, bit } => {
+                    let _ = writeln!(
+                        out,
+                        "    {} = {} >> {bit} & 1;",
+                        names[dst as usize], names[src as usize]
+                    );
+                }
+                WOp::Zero { dst } => {
+                    let _ = writeln!(out, "    {} = 0;", names[dst as usize]);
+                }
+                // An aligned load with no negative times degenerates to
+                // a broadcast.
+                WOp::InputBroadcast { dst, words, index }
+                | WOp::InputAligned {
+                    dst,
+                    words,
+                    neg_bits: 0,
+                    index,
+                } => {
+                    for w in 0..u32::from(words) {
+                        let _ = writeln!(
+                            out,
+                            "    {} = (word)0 - pi[{index}];",
+                            names[(dst + w) as usize]
+                        );
+                    }
+                }
+                WOp::InputAligned {
+                    dst,
+                    words,
+                    neg_bits,
+                    index,
+                } => {
+                    // The low `neg_bits` bits keep the previous input value
+                    // (read before any word is overwritten); all other bits
+                    // get the new one. Word counts and split masks are
+                    // compile-time constants, so the load unrolls into
+                    // straight-line statements.
+                    let neg = u32::from(neg_bits);
+                    let prev_word = names[(dst + neg / b) as usize].clone();
+                    let _ = writeln!(
+                        out,
+                        "    {{ /* input {index}: {neg_bits} previous-value bit(s) */"
+                    );
+                    let _ = writeln!(
+                        out,
+                        "        const word uds_p = (word)0 - ({prev_word} >> {} & (word)1);",
+                        neg % b
+                    );
+                    let _ = writeln!(out, "        const word uds_n = (word)0 - pi[{index}];");
+                    for w in 0..u32::from(words) {
+                        let name = &names[(dst + w) as usize];
+                        let low = w * b;
+                        if neg >= low + b {
+                            let _ = writeln!(out, "        {name} = uds_p;");
+                        } else if neg <= low {
+                            let _ = writeln!(out, "        {name} = uds_n;");
+                        } else {
+                            let mask = mask_literal(neg - low);
+                            let _ = writeln!(
+                                out,
+                                "        {name} = (uds_p & {mask}) | (uds_n & ~{mask});"
+                            );
+                        }
+                    }
+                    let _ = writeln!(out, "    }}");
+                }
+                WOp::ShiftField {
+                    dst,
+                    dst_words,
+                    src,
+                    src_width,
+                    shift,
+                } => {
+                    // Materialize a shifted presentation of a field
+                    // (Fig. 18). Bottom/top fills and the funnel offsets are
+                    // compile-time constants; source and destination never
+                    // overlap, so the per-word funnel unrolls directly.
+                    let top_bit = src_width - 1;
+                    let top_word = top_bit / b;
+                    let src_at = |i: i64| -> String {
+                        if i < 0 {
+                            "uds_bf".to_owned()
+                        } else if i as u32 > top_word {
+                            "uds_tf".to_owned()
+                        } else if i as u32 == top_word {
+                            "uds_st".to_owned()
+                        } else {
+                            names[(src + i as u32) as usize].clone()
+                        }
+                    };
+                    let raw_top = names[(src + top_word) as usize].clone();
+                    let _ = writeln!(out, "    {{ /* shifted field presentation ({shift:+}) */");
+                    let _ = writeln!(
+                        out,
+                        "        const word uds_bf = (word)0 - ({} & (word)1);",
+                        names[src as usize]
+                    );
+                    let _ = writeln!(
+                        out,
+                        "        const word uds_tf = (word)0 - ({raw_top} >> {} & (word)1);",
+                        top_bit % b
+                    );
+                    if top_bit % b + 1 == b {
+                        // Full top word: the sanitization mask is all ones.
+                        let _ = writeln!(out, "        const word uds_st = {raw_top};");
+                    } else {
+                        let mask = mask_literal(top_bit % b + 1);
+                        let _ = writeln!(
+                        out,
+                        "        const word uds_st = ({raw_top} & {mask}) | (uds_tf & ~{mask});"
+                    );
+                    }
+                    let s = -i64::from(shift);
+                    let offset = s.rem_euclid(i64::from(b));
+                    let base = (s - offset) / i64::from(b);
+                    for w in 0..i64::from(dst_words) {
+                        let dname = names[(dst + w as u32) as usize].clone();
+                        if offset == 0 {
+                            let _ = writeln!(out, "        {dname} = {};", src_at(base + w));
+                        } else {
+                            let _ = writeln!(
+                                out,
+                                "        {dname} = ({} >> {offset}) | ({} << {});",
+                                src_at(base + w),
+                                src_at(base + w + 1),
+                                i64::from(b) - offset
+                            );
+                        }
+                    }
+                    let _ = writeln!(out, "    }}");
+                }
+            }
+        }
+        if native {
+            let _ = writeln!(out, "}}");
+        }
+    }
+    if native {
+        write_driver(&mut out, segments.len());
+    } else {
+        let _ = writeln!(out, "}}");
+    }
+    Ok(out)
+}
+
+/// The one exported function, `uds_run`: every level block in order,
+/// as direct calls (a host loop of indirect calls mispredicts once the
+/// blocks number in the thousands). A non-null `tick` hears each
+/// finished block, so a profiled run times the same calls.
+fn write_driver(out: &mut String, blocks: usize) {
+    out.push_str("\nvoid uds_run(word *restrict s, const word *restrict pi,\n");
+    out.push_str("             void (*tick)(void *, uint32_t), void *ctx)\n{\n");
+    for index in 0..blocks {
+        let _ = writeln!(out, "    uds_block_{index}(s, pi);");
+        let _ = writeln!(out, "    if (tick) tick(ctx, {index}u);");
+    }
+    out.push_str("}\n");
+}
+
+/// One C identifier per arena word: field words get net-derived names,
+/// scratch words get t<k>. Sanitized stems are deduplicated (and the
+/// aliases themselves reserved), so no two nets share a C variable.
+fn field_names<W: Word>(netlist: &Netlist, simulator: &ParallelSim<W>) -> Vec<String> {
+    let mut names: Vec<String> = (0..simulator.program().arena_words)
+        .map(|w| format!("t{w}"))
+        .collect();
     let mut used: HashMap<String, usize> = HashMap::new();
     // Reserve the generic scratch names so a net literally named `t5`
     // dedups instead of aliasing scratch word 5.
@@ -145,246 +402,7 @@ fn emit_impl<W: Word>(
             };
         }
     }
-
-    let b = W::BITS;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "/* parallel-technique unit-delay simulation of `{}` ({}) */",
-        netlist.name(),
-        simulator.optimization()
-    );
-    let _ = writeln!(out, "#include <stdint.h>");
-    let _ = writeln!(out, "typedef {} word;", W::C_TYPE);
-    // Initializers reproduce the simulator's consistent power-up state
-    // (every field filled with the value the circuit settles to under
-    // all-zero inputs), so the first vector's retained bits are right.
-    let initial = simulator.initial_arena();
-    for (slot, name) in names.iter().enumerate() {
-        let value = if initial[slot] != W::ZERO {
-            "~(word)0"
-        } else {
-            "0"
-        };
-        let _ = writeln!(out, "static word {name} = {value};");
-    }
-    let _ = writeln!(out);
-    let _ = writeln!(out, "void simulate_one_vector(const word *pi)\n{{");
-
-    for op in &program.ops {
-        match *op {
-            WOp::Eval {
-                kind,
-                dst,
-                first_operand,
-                operand_count,
-            } => {
-                let operands: Vec<&str> = (first_operand..first_operand + u32::from(operand_count))
-                    .map(|i| names[program.operands[i as usize] as usize].as_str())
-                    .collect();
-                let _ = writeln!(
-                    out,
-                    "    {} = {};",
-                    names[dst as usize],
-                    gate_expression(kind, &operands)
-                );
-            }
-            WOp::MergeShl1Low { dst, src } => {
-                let _ = writeln!(
-                    out,
-                    "    {} |= {} << 1;",
-                    names[dst as usize], names[src as usize]
-                );
-            }
-            WOp::MergeShl1 { dst, src, carry } => {
-                let _ = writeln!(
-                    out,
-                    "    {} |= ({} << 1) | ({} >> {});",
-                    names[dst as usize],
-                    names[src as usize],
-                    names[carry as usize],
-                    b - 1
-                );
-            }
-            WOp::BroadcastBit { dst, src, bit } => {
-                let _ = writeln!(
-                    out,
-                    "    {} = (word)0 - ({} >> {bit} & 1);",
-                    names[dst as usize], names[src as usize]
-                );
-            }
-            WOp::ExtractBit { dst, src, bit } => {
-                let _ = writeln!(
-                    out,
-                    "    {} = {} >> {bit} & 1;",
-                    names[dst as usize], names[src as usize]
-                );
-            }
-            WOp::Zero { dst } => {
-                let _ = writeln!(out, "    {} = 0;", names[dst as usize]);
-            }
-            WOp::InputBroadcast { dst, words, index } => {
-                for w in 0..u32::from(words) {
-                    let _ = writeln!(
-                        out,
-                        "    {} = (word)0 - pi[{index}];",
-                        names[(dst + w) as usize]
-                    );
-                }
-            }
-            WOp::InputAligned {
-                dst,
-                words,
-                neg_bits,
-                index,
-            } => {
-                // The low `neg_bits` bits keep the previous input value
-                // (read before any word is overwritten); all other bits
-                // get the new one. Word counts and split masks are
-                // compile-time constants, so the load unrolls into
-                // straight-line statements.
-                let neg = u32::from(neg_bits);
-                if neg == 0 {
-                    // No negative times: degenerates to a broadcast.
-                    for w in 0..u32::from(words) {
-                        let _ = writeln!(
-                            out,
-                            "    {} = (word)0 - pi[{index}];",
-                            names[(dst + w) as usize]
-                        );
-                    }
-                    continue;
-                }
-                let prev_word = names[(dst + neg / b) as usize].clone();
-                let _ = writeln!(
-                    out,
-                    "    {{ /* input {index}: {neg_bits} previous-value bit(s) */"
-                );
-                let _ = writeln!(
-                    out,
-                    "        const word uds_p = (word)0 - ({prev_word} >> {} & (word)1);",
-                    neg % b
-                );
-                let _ = writeln!(out, "        const word uds_n = (word)0 - pi[{index}];");
-                for w in 0..u32::from(words) {
-                    let name = &names[(dst + w) as usize];
-                    let low = w * b;
-                    if neg >= low + b {
-                        let _ = writeln!(out, "        {name} = uds_p;");
-                    } else if neg <= low {
-                        let _ = writeln!(out, "        {name} = uds_n;");
-                    } else {
-                        let mask = mask_literal(neg - low);
-                        let _ = writeln!(
-                            out,
-                            "        {name} = (uds_p & {mask}) | (uds_n & ~{mask});"
-                        );
-                    }
-                }
-                let _ = writeln!(out, "    }}");
-            }
-            WOp::ShiftField {
-                dst,
-                dst_words,
-                src,
-                src_width,
-                shift,
-            } => {
-                // Materialize a shifted presentation of a field
-                // (Fig. 18). Bottom/top fills and the funnel offsets are
-                // compile-time constants; source and destination never
-                // overlap, so the per-word funnel unrolls directly.
-                let top_bit = src_width - 1;
-                let top_word = top_bit / b;
-                let src_at = |i: i64| -> String {
-                    if i < 0 {
-                        "uds_bf".to_owned()
-                    } else if i as u32 > top_word {
-                        "uds_tf".to_owned()
-                    } else if i as u32 == top_word {
-                        "uds_st".to_owned()
-                    } else {
-                        names[(src + i as u32) as usize].clone()
-                    }
-                };
-                let raw_top = names[(src + top_word) as usize].clone();
-                let _ = writeln!(out, "    {{ /* shifted field presentation ({shift:+}) */");
-                let _ = writeln!(
-                    out,
-                    "        const word uds_bf = (word)0 - ({} & (word)1);",
-                    names[src as usize]
-                );
-                let _ = writeln!(
-                    out,
-                    "        const word uds_tf = (word)0 - ({raw_top} >> {} & (word)1);",
-                    top_bit % b
-                );
-                if top_bit % b + 1 == b {
-                    // Full top word: the sanitization mask is all ones.
-                    let _ = writeln!(out, "        const word uds_st = {raw_top};");
-                } else {
-                    let mask = mask_literal(top_bit % b + 1);
-                    let _ = writeln!(
-                        out,
-                        "        const word uds_st = ({raw_top} & {mask}) | (uds_tf & ~{mask});"
-                    );
-                }
-                let s = -i64::from(shift);
-                let offset = s.rem_euclid(i64::from(b));
-                let base = (s - offset) / i64::from(b);
-                for w in 0..i64::from(dst_words) {
-                    let dname = names[(dst + w as u32) as usize].clone();
-                    if offset == 0 {
-                        let _ = writeln!(out, "        {dname} = {};", src_at(base + w));
-                    } else {
-                        let _ = writeln!(
-                            out,
-                            "        {dname} = ({} >> {offset}) | ({} << {});",
-                            src_at(base + w),
-                            src_at(base + w + 1),
-                            i64::from(b) - offset
-                        );
-                    }
-                }
-                let _ = writeln!(out, "    }}");
-            }
-        }
-    }
-    let _ = writeln!(out, "}}");
-
-    if native {
-        let _ = writeln!(out);
-        let count = program.arena_words;
-        if count > 0 {
-            let pointers: Vec<String> = names.iter().map(|n| format!("&{n}")).collect();
-            let _ = writeln!(
-                out,
-                "static word *const uds_arena[{count}] = {{ {} }};",
-                pointers.join(", ")
-            );
-            let _ = writeln!(out, "\nvoid uds_state_set(const word *state)\n{{");
-            let _ = writeln!(out, "    uint32_t i;");
-            let _ = writeln!(
-                out,
-                "    for (i = 0; i < {count}u; i++) *uds_arena[i] = state[i];"
-            );
-            let _ = writeln!(out, "}}");
-            let _ = writeln!(out, "\nvoid uds_state_get(word *state)\n{{");
-            let _ = writeln!(out, "    uint32_t i;");
-            let _ = writeln!(
-                out,
-                "    for (i = 0; i < {count}u; i++) state[i] = *uds_arena[i];"
-            );
-            let _ = writeln!(out, "}}");
-        } else {
-            let _ = writeln!(
-                out,
-                "void uds_state_set(const word *state) {{ (void)state; }}"
-            );
-            let _ = writeln!(out, "void uds_state_get(word *state) {{ (void)state; }}");
-        }
-    }
-    Ok(out)
+    names
 }
 
 /// Low-mask constant with the bottom `k` bits set, as a C literal.
@@ -466,9 +484,6 @@ fn is_reserved(name: &str) -> bool {
             | "uds_bf"
             | "uds_tf"
             | "uds_st"
-            | "uds_arena"
-            | "uds_state_get"
-            | "uds_state_set"
     )
 }
 
@@ -604,19 +619,29 @@ mod tests {
     }
 
     #[test]
-    fn native_emit_exports_state_accessors() {
-        let nl = fig6();
-        let sim = ParallelSimulator::compile(&nl, Optimization::None).unwrap();
-        let code = emit_native(&nl, &sim).unwrap();
-        assert!(
-            code.contains("void uds_state_set(const word *state)"),
-            "{code}"
-        );
-        assert!(code.contains("void uds_state_get(word *state)"), "{code}");
-        assert!(code.contains("uds_arena"), "{code}");
-        // The plain emit stays accessor-free: its line count is the
-        // paper's generated-code-size statistic.
-        assert!(!emit(&nl, &sim).unwrap().contains("uds_state_set"));
+    fn native_emit_owns_no_state_and_has_one_block_per_segment() {
+        use uds_netlist::generators::iscas::Iscas85;
+        let nl = Iscas85::C432.build();
+        for optimization in [Optimization::None, Optimization::PathTracingTrimming] {
+            let sim = ParallelSimulator::compile(&nl, optimization).unwrap();
+            let code = emit_native(&nl, &sim).unwrap();
+            for stateful in ["static", "uds_state_", "uds_arena"] {
+                assert!(!code.contains(stateful), "native C has `{stateful}`");
+            }
+            let segments = sim.level_segments().len();
+            let blocks = code.matches("\nvoid uds_block_");
+            assert_eq!(blocks.count(), segments, "{optimization}");
+            // The driver calls every block once, in order.
+            assert_eq!(code.matches("(s, pi);").count(), segments);
+            let last = sim.level_segments().len() - 1;
+            assert!(
+                code.contains(&format!("void uds_block_{last}(")),
+                "{optimization}"
+            );
+            // The paper-format emit keeps named statics: it never
+            // addresses a caller-owned arena.
+            assert!(!emit(&nl, &sim).unwrap().contains("s["), "{optimization}");
+        }
     }
 
     #[test]

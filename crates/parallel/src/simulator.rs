@@ -165,7 +165,8 @@ pub struct ParallelSim<W: Word = u32> {
     stats: ProgramStats,
     /// Run-length level segments of the op stream in emission order
     /// (segment 0 is the level-0 init block). Drives the leveled
-    /// profiling executor; the plain path never reads it.
+    /// profiling executor and the native engine's per-level C blocks;
+    /// the plain path never reads it.
     level_segments: Vec<LevelSegment>,
 }
 
@@ -596,17 +597,28 @@ impl<W: Word> ParallelSim<W> {
         static_profile(&self.level_segments)
     }
 
+    /// The compile-time level segments of the op stream, in run order:
+    /// they tile the whole stream, so executing each segment's op range
+    /// in turn is exactly one vector.
+    pub(crate) fn level_segments(&self) -> &[LevelSegment] {
+        &self.level_segments
+    }
+
     /// Like [`ParallelSim::simulate_vector`], but delegating the word
-    /// program itself to `run`, which receives the mutable arena after
-    /// the tracked previous-final values have been latched. The native
-    /// engine uses this to execute its compiled shared object against
-    /// the authoritative arena while every readback path (`history`,
-    /// `final_value`, toggles) keeps working unchanged.
+    /// program itself to `run`, which receives the mutable arena (after
+    /// the tracked previous-final values have been latched) and the
+    /// level segments. The native engine hands this arena to its
+    /// compiled level blocks as their state, so every readback path
+    /// (`history`, `final_value`, toggles) keeps working unchanged.
     ///
     /// # Panics
     ///
     /// Panics if `inputs.len()` differs from the primary-input count.
-    pub fn simulate_vector_with(&mut self, inputs: &[bool], run: impl FnOnce(&mut [W])) {
+    pub fn simulate_vector_with(
+        &mut self,
+        inputs: &[bool],
+        run: impl FnOnce(&mut [W], &[LevelSegment]),
+    ) {
         assert_eq!(
             inputs.len(),
             self.program.input_count,
@@ -616,7 +628,7 @@ impl<W: Word> ParallelSim<W> {
             let layout = &self.layouts[net];
             self.prev_final[net.index()] = layout.read_bit(&self.arena, layout.final_bit());
         }
-        run(&mut self.arena);
+        run(&mut self.arena, &self.level_segments);
     }
 
     /// The final settled value of a net for the last vector.

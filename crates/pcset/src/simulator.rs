@@ -95,7 +95,8 @@ pub struct PcSetSimulator {
     /// Run-length level segments of the op stream in emission order
     /// (segment 0 is the zero-length level-0 prologue carrying the
     /// retention-copy/input-store static counts). Drives the leveled
-    /// profiling executor; the plain path never reads it.
+    /// profiling executor and the native engine's per-level C blocks;
+    /// the plain path never reads it.
     level_segments: Vec<LevelSegment>,
 }
 
@@ -437,24 +438,33 @@ impl PcSetSimulator {
         static_profile(&self.level_segments)
     }
 
-    /// Simulates one vector with a caller-supplied execution body: the
-    /// inputs are broadcast to stream words exactly as
-    /// [`Self::simulate_vector`] would, then `run` is handed the arena
-    /// and the broadcast words instead of the interpreted program. The
-    /// native engine uses this to route the step through compiled C
-    /// while this simulator's arena stays the authoritative state.
+    /// The compile-time level segments of the gate-op stream, in run
+    /// order: they tile the whole stream, and the per-vector prologue
+    /// (retention copies, input stores) belongs to the first.
+    pub(crate) fn level_segments(&self) -> &[LevelSegment] {
+        &self.level_segments
+    }
+
+    /// Simulates one vector with a caller-supplied execution body: `run`
+    /// is handed the arena and the level segments instead of the
+    /// interpreted program running over it, and must itself store the
+    /// inputs (as stream words). The native engine uses this to run its
+    /// compiled level blocks with this simulator's arena as their state.
     ///
     /// # Panics
     ///
     /// Panics if `inputs.len()` differs from the primary-input count.
-    pub fn simulate_vector_with(&mut self, inputs: &[bool], run: impl FnOnce(&mut [u64], &[u64])) {
+    pub fn simulate_vector_with(
+        &mut self,
+        inputs: &[bool],
+        run: impl FnOnce(&mut [u64], &[LevelSegment]),
+    ) {
         assert_eq!(
             inputs.len(),
             self.input_count,
             "input vector length must match the primary input count"
         );
-        let words: Vec<u64> = inputs.iter().map(|&b| if b { !0u64 } else { 0 }).collect();
-        run(&mut self.arena, &words);
+        run(&mut self.arena, &self.level_segments);
     }
 
     /// Simulates 64 independent vector streams at once: bit `k` of

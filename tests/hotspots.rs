@@ -14,7 +14,9 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use unit_delay_sim::core::telemetry::json::Json;
-use unit_delay_sim::core::{hotspot, DefaultEngineFactory, Engine, GuardedSimulator, WordWidth};
+use unit_delay_sim::core::{
+    compiler_available, hotspot, DefaultEngineFactory, Engine, GuardedSimulator, WordWidth,
+};
 use unit_delay_sim::netlist::generators::iscas::Iscas85;
 use unit_delay_sim::netlist::{bench_format, ResourceLimits};
 use unit_delay_sim::prelude::Netlist;
@@ -41,6 +43,18 @@ fn patterns(n: usize, width: usize) -> Vec<Vec<bool>> {
                 .collect()
         })
         .collect()
+}
+
+/// The code-generating engines, plus the native engine when a C
+/// compiler is present (with a visible notice when it is not).
+fn engines_with_native(engines: &[Engine]) -> Vec<Engine> {
+    let mut engines = engines.to_vec();
+    if compiler_available() {
+        engines.push(Engine::Native);
+    } else {
+        eprintln!("SKIP native: no C compiler on PATH; native hotspots not exercised");
+    }
+    engines
 }
 
 fn guard_for(nl: &Netlist, engine: Engine, word: WordWidth) -> GuardedSimulator {
@@ -168,14 +182,15 @@ fn cli_json_report_sums_within_20pct_of_span_on_c432() {
 fn self_times_sum_within_20pct_of_span_across_engines_words_jobs() {
     let nl = Iscas85::C432.build();
     let vectors = patterns(512, nl.primary_inputs().len());
-    for engine in [
+    for engine in engines_with_native(&[
         Engine::PcSet,
         Engine::Parallel,
         Engine::ParallelPathTracingTrimming,
-    ] {
+    ]) {
         for word in [WordWidth::W32, WordWidth::W64] {
             for jobs in [1usize, 2] {
                 let guard = guard_for(&nl, engine, word);
+                assert_eq!(guard.active_engine(), engine, "{:?}", guard.fallbacks());
                 let report = hotspot::collect(&nl, &guard, &vectors, jobs, word.bits())
                     .expect("collect succeeds");
                 let attributed = report.measured.total_self_ns();
@@ -201,13 +216,14 @@ fn leveled_entry_point_matches_plain_simulation_exactly() {
     let nl = Iscas85::C432.build();
     let vectors = patterns(64, nl.primary_inputs().len());
     let outputs = nl.primary_outputs().to_vec();
-    for engine in [
+    for engine in engines_with_native(&[
         Engine::EventDriven,
         Engine::PcSet,
         Engine::ParallelPathTracingTrimming,
-    ] {
+    ]) {
         let mut plain = guard_for(&nl, engine, WordWidth::W32);
         let mut leveled = guard_for(&nl, engine, WordWidth::W32);
+        assert_eq!(leveled.active_engine(), engine, "{:?}", leveled.fallbacks());
         let mut profile = unit_delay_sim::netlist::LevelProfile::default();
         for vector in &vectors {
             plain.simulate_vector(vector).expect("plain run");

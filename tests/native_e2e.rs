@@ -5,12 +5,19 @@
 //! waveforms vector by vector against the interpreted event-driven
 //! baseline on the fixture circuits.
 //!
+//! A `run_batch` run at `--jobs 2` then pins that shards calling one
+//! loaded artifact concurrently keep independent state: the emitted C
+//! owns none, and nothing serializes the calls.
+//!
 //! The whole suite skips — with a visible notice on stderr — when no C
 //! compiler is on `PATH` (`$UDS_CC` overrides the default `cc`), so
 //! toolchain-free hosts stay green without silently losing coverage.
 
+use unit_delay_sim::core::guard::EngineFactory;
 use unit_delay_sim::core::vectors::{Exhaustive, RandomVectors};
-use unit_delay_sim::core::{build_native, compiler_available, crosscheck, WordWidth};
+use unit_delay_sim::core::{
+    build_native, compiler_available, crosscheck, run_batch, GuardedSimulator, SimError, WordWidth,
+};
 use unit_delay_sim::netlist::generators::adders::{ripple_carry_adder, AdderStyle};
 use unit_delay_sim::netlist::generators::iscas::{c17, Iscas85};
 use unit_delay_sim::netlist::generators::trees::mux_tree;
@@ -106,4 +113,74 @@ fn c432_random_every_flavor_and_width() {
     let width = nl.primary_inputs().len();
     let stimulus: Vec<Vec<bool>> = RandomVectors::new(width, 1990).take(16).collect();
     check_all_flavors(&nl, &stimulus);
+}
+
+/// Builds [`Engine::Native`] as the native compile of one flavor, so a
+/// guarded batch can run the PC-set artifact too.
+#[derive(Clone, Copy)]
+struct NativeFlavor {
+    flavor: Engine,
+    word: WordWidth,
+}
+
+impl EngineFactory for NativeFlavor {
+    fn build(
+        &self,
+        netlist: &Netlist,
+        engine: Engine,
+        limits: &ResourceLimits,
+    ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
+        assert_eq!(engine, Engine::Native);
+        build_native(netlist, self.flavor, self.word, limits, &NoopProbe)
+    }
+
+    fn clone_box(&self) -> Box<dyn EngineFactory> {
+        Box::new(*self)
+    }
+}
+
+#[test]
+fn c432_run_batch_jobs_2_matches_the_oracle_row_by_row() {
+    if skip_without_compiler("c432_run_batch_jobs_2_matches_the_oracle_row_by_row") {
+        return;
+    }
+    let nl = Iscas85::C432.build();
+    let stimulus: Vec<Vec<bool>> = RandomVectors::new(nl.primary_inputs().len(), 432)
+        .take(400)
+        .collect();
+    let mut oracle = build_simulator(&nl, Engine::EventDriven).expect("oracle builds");
+    let expected: Vec<Vec<bool>> = stimulus
+        .iter()
+        .map(|vector| {
+            oracle.simulate_vector(vector);
+            let outputs = nl.primary_outputs().iter();
+            outputs.map(|&po| oracle.final_value(po)).collect()
+        })
+        .collect();
+    for (flavor, word) in [
+        (Engine::ParallelPathTracingTrimming, WordWidth::W32),
+        (Engine::ParallelPathTracingTrimming, WordWidth::W64),
+        (Engine::PcSet, WordWidth::W64),
+    ] {
+        let label = format!("{flavor} at w{}", word.bits());
+        let factory = Box::new(NativeFlavor { flavor, word });
+        let prototype = GuardedSimulator::with_factory(
+            &nl,
+            ResourceLimits::unlimited(),
+            &[Engine::Native],
+            factory,
+        )
+        .unwrap_or_else(|e| panic!("{label} must build: {e}"));
+        let out = run_batch(&nl, &prototype, &stimulus, 2, None)
+            .unwrap_or_else(|e| panic!("{label} batch failed: {e}"));
+        assert_eq!(out.shards.len(), 2, "{label}");
+        for shard in &out.shards {
+            assert_eq!(shard.engine, Engine::Native, "{label}");
+            assert_eq!(shard.fallbacks, 0, "{label}");
+        }
+        assert_eq!(out.rows.len(), expected.len(), "{label}");
+        for (index, (row, want)) in out.rows.iter().zip(&expected).enumerate() {
+            assert_eq!(row, want, "{label}: row {index} differs from the oracle");
+        }
+    }
 }
