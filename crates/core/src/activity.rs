@@ -297,7 +297,7 @@ impl ActivityReport {
 }
 
 /// A [`BatchProbe`] that profiles activity per shard during
-/// [`run_batch_observed`](crate::batch::run_batch_observed), then
+/// [`run_batch_cancellable`](crate::batch::run_batch_cancellable), then
 /// merges the shards into one stream-order profile.
 ///
 /// Each shard owns its profiler behind a `Mutex`, so workers never

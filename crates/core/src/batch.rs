@@ -108,50 +108,32 @@ pub fn run_batch(
     jobs: usize,
     telemetry: Option<&Telemetry>,
 ) -> Result<BatchOutput, SimError> {
-    run_batch_observed(
-        netlist,
-        prototype,
-        vectors,
-        jobs,
-        telemetry,
-        &NoopBatchProbe,
-    )
-}
-
-/// [`run_batch`] with a [`BatchProbe`] observing the workers: periodic
-/// per-shard heartbeats (`--progress` in the CLI) and/or a borrow of
-/// each shard's engine after every vector (the activity profiler).
-/// Both hooks are capability-gated, so a probe that wants neither costs
-/// nothing in the per-vector loop.
-///
-/// # Errors
-///
-/// As [`run_batch`].
-pub fn run_batch_observed(
-    netlist: &Netlist,
-    prototype: &GuardedSimulator,
-    vectors: &[Vec<bool>],
-    jobs: usize,
-    telemetry: Option<&Telemetry>,
-    probe: &dyn BatchProbe,
-) -> Result<BatchOutput, SimError> {
     run_batch_cancellable(
         netlist,
         prototype,
         vectors,
         jobs,
         telemetry,
-        probe,
+        &NoopBatchProbe,
         &CancelToken::new(),
     )
 }
 
-/// [`run_batch_observed`] with cooperative cancellation: every worker
-/// polls `cancel` between vectors, so a tripped token (an explicit
-/// cancel or a passed deadline) stops the batch within one vector per
-/// shard. The interrupted run returns [`SimErrorKind::Cancelled`]
-/// carrying how many vectors the reporting worker had finished — the
-/// partial-work figure the serve daemon's timeout telemetry records.
+/// [`run_batch`] observed and cancellable — the general entry point.
+///
+/// `probe` observes the workers: periodic per-shard heartbeats
+/// (`--progress` in the CLI) and/or a borrow of each shard's engine
+/// after every vector (the activity profiler). Both hooks are
+/// capability-gated, so a probe that wants neither costs nothing in
+/// the per-vector loop.
+///
+/// Every worker polls `cancel` between vectors, so a tripped token (an
+/// explicit cancel or a passed deadline) stops the batch within one
+/// vector per shard. The interrupted run returns
+/// [`SimErrorKind::Cancelled`] carrying how many vectors the reporting
+/// worker had finished — the partial-work figure the serve daemon's
+/// timeout telemetry records. Pass `&CancelToken::new()` to run to
+/// completion.
 ///
 /// # Errors
 ///
@@ -466,7 +448,7 @@ mod tests {
         let nl = c17();
         let guard = GuardedSimulator::new(&nl, ResourceLimits::production()).unwrap();
         let recorder = Recorder::default();
-        run_batch_observed(&nl, &guard, &[], 4, None, &recorder).unwrap();
+        run_batch_cancellable(&nl, &guard, &[], 4, None, &recorder, &CancelToken::new()).unwrap();
         let beats = recorder.0.lock().unwrap();
         assert_eq!(beats.len(), 1, "exactly one completion record");
         assert!(beats[0].finished);
@@ -510,7 +492,16 @@ mod tests {
         let vectors = stimulus(10);
         let guard = GuardedSimulator::new(&nl, ResourceLimits::production()).unwrap();
         let recorder = Recorder::default();
-        let out = run_batch_observed(&nl, &guard, &vectors, 3, None, &recorder).unwrap();
+        let out = run_batch_cancellable(
+            &nl,
+            &guard,
+            &vectors,
+            3,
+            None,
+            &recorder,
+            &CancelToken::new(),
+        )
+        .unwrap();
         assert_eq!(
             out.rows,
             sequential_rows(&vectors),

@@ -18,6 +18,15 @@
 //! Panics are contained with [`std::panic::catch_unwind`]: a buggy
 //! engine surfaces as [`SimErrorKind::EnginePanicked`] instead of
 //! killing the batch.
+//!
+//! Engines come from an [`EngineFactory`]. The default one,
+//! [`DefaultEngineFactory`] (at a word width, optionally monitoring
+//! every net), hands each build to the crate's one engine constructor,
+//! which also builds [`crate::build_simulator`] and
+//! [`crate::build_native`] engines; the chaos harness and tests
+//! substitute their own factories. [`GuardedSimulator::observed`] is
+//! the general constructor; `new`, `with_chain` and `with_factory`
+//! fill in its defaults.
 
 // SimError deliberately carries full context (phase, engine, circuit,
 // cause chain) and only travels on cold failure paths, so clippy's
@@ -28,10 +37,9 @@ use std::panic::{self, AssertUnwindSafe};
 
 use uds_eventsim::zero_delay::stable_states;
 use uds_netlist::{NetId, Netlist, NoopProbe, Probe, ResourceLimits};
-use uds_parallel::{Optimization, ParallelSim, Word};
-use uds_pcset::PcSetSimulator;
 
 use crate::error::{FailureClass, SimError, SimErrorKind, SimPhase};
+use crate::simulator::build_engine;
 use crate::telemetry::Telemetry;
 use crate::{crosscheck, Engine, TracedEventSim, UnitDelaySimulator, WordWidth};
 
@@ -41,44 +49,51 @@ use crate::{crosscheck, Engine, TracedEventSim, UnitDelaySimulator, WordWidth};
 /// Factories are `Send` and cloneable so [`GuardedSimulator::fork`] can
 /// hand each batch worker a guard that degrades the same way.
 pub trait EngineFactory: Send {
-    /// Builds `engine` under `limits`, panic-contained.
+    /// Builds `engine` under `limits`, panic-contained, reporting
+    /// compile phases and the paper's static metrics (PC-set sizes,
+    /// words trimmed, shifts retained/eliminated) into `probe`.
     fn build(
         &self,
         netlist: &Netlist,
         engine: Engine,
         limits: &ResourceLimits,
-    ) -> Result<Box<dyn UnitDelaySimulator>, SimError>;
-
-    /// Like [`EngineFactory::build`], reporting compile phases and
-    /// static metrics into `probe`. The default ignores the probe so
-    /// existing factories (the chaos harness's faulty ones included)
-    /// keep working unchanged.
-    fn build_probed(
-        &self,
-        netlist: &Netlist,
-        engine: Engine,
-        limits: &ResourceLimits,
         probe: &dyn Probe,
-    ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-        let _ = probe;
-        self.build(netlist, engine, limits)
-    }
+    ) -> Result<Box<dyn UnitDelaySimulator>, SimError>;
 
     /// Clones the factory behind the trait object.
     fn clone_box(&self) -> Box<dyn EngineFactory>;
 }
 
-/// The factory that compiles the workspace's real engines.
+/// The factory that compiles the workspace's real engines at one
+/// parallel word width. Budget violations surface as
+/// [`SimErrorKind::Budget`], compile panics as
+/// [`SimErrorKind::EnginePanicked`]; every error carries the engine.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DefaultEngineFactory {
-    /// Arena word width for the parallel-family engines.
-    pub word: WordWidth,
+    word: WordWidth,
+    monitor_all: bool,
 }
 
 impl DefaultEngineFactory {
     /// A factory compiling parallel engines at the given word width.
     pub fn with_word(word: WordWidth) -> Self {
-        DefaultEngineFactory { word }
+        DefaultEngineFactory {
+            word,
+            monitor_all: false,
+        }
+    }
+
+    /// A factory that compiles every engine with **all nets
+    /// monitored**, so per-net histories — and therefore toggle
+    /// streams — are available on every net whichever engine survives
+    /// the chain. This is the activity profiler's factory: the default
+    /// one lets path tracing prune untracked fields, which is faster
+    /// but leaves most nets unobservable.
+    pub fn monitoring(word: WordWidth) -> Self {
+        DefaultEngineFactory {
+            word,
+            monitor_all: true,
+        }
     }
 }
 
@@ -88,195 +103,21 @@ impl EngineFactory for DefaultEngineFactory {
         netlist: &Netlist,
         engine: Engine,
         limits: &ResourceLimits,
-    ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-        self.build_probed(netlist, engine, limits, &NoopProbe)
-    }
-
-    fn build_probed(
-        &self,
-        netlist: &Netlist,
-        engine: Engine,
-        limits: &ResourceLimits,
         probe: &dyn Probe,
     ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-        build_engine(netlist, engine, limits, probe, self.word, false)
+        build_engine(
+            netlist,
+            engine,
+            false,
+            self.word,
+            self.monitor_all,
+            limits,
+            probe,
+        )
     }
 
     fn clone_box(&self) -> Box<dyn EngineFactory> {
         Box::new(*self)
-    }
-}
-
-/// A factory that compiles every engine with **all nets monitored**, so
-/// per-net histories — and therefore toggle streams — are available on
-/// every net regardless of which engine survives the chain. This is the
-/// activity profiler's factory: the default one lets path tracing prune
-/// untracked fields, which is faster but leaves most nets unobservable.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MonitoringEngineFactory {
-    /// Arena word width for the parallel-family engines.
-    pub word: WordWidth,
-}
-
-impl MonitoringEngineFactory {
-    /// A monitoring factory at the given word width.
-    pub fn with_word(word: WordWidth) -> Self {
-        MonitoringEngineFactory { word }
-    }
-}
-
-impl EngineFactory for MonitoringEngineFactory {
-    fn build(
-        &self,
-        netlist: &Netlist,
-        engine: Engine,
-        limits: &ResourceLimits,
-    ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-        self.build_probed(netlist, engine, limits, &NoopProbe)
-    }
-
-    fn build_probed(
-        &self,
-        netlist: &Netlist,
-        engine: Engine,
-        limits: &ResourceLimits,
-        probe: &dyn Probe,
-    ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-        build_engine(netlist, engine, limits, probe, self.word, true)
-    }
-
-    fn clone_box(&self) -> Box<dyn EngineFactory> {
-        Box::new(*self)
-    }
-}
-
-/// Builds any engine under a resource budget, with compile-time panic
-/// containment. Budget violations surface as [`SimErrorKind::Budget`],
-/// panics as [`SimErrorKind::EnginePanicked`]; every error carries the
-/// engine.
-pub fn build_engine_with_limits(
-    netlist: &Netlist,
-    engine: Engine,
-    limits: &ResourceLimits,
-) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-    build_engine_with_limits_probed(netlist, engine, limits, &NoopProbe)
-}
-
-/// Like [`build_engine_with_limits`], reporting compile phases and the
-/// paper's static metrics (PC-set sizes, words trimmed, shifts
-/// retained/eliminated) into `probe` — pass a
-/// [`Telemetry`](crate::telemetry::Telemetry) to collect them.
-pub fn build_engine_with_limits_probed(
-    netlist: &Netlist,
-    engine: Engine,
-    limits: &ResourceLimits,
-    probe: &dyn Probe,
-) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-    build_engine_with_limits_probed_word(netlist, engine, limits, probe, WordWidth::default())
-}
-
-/// [`build_engine_with_limits_probed`] at an explicit parallel word
-/// width (the width only affects the parallel-family engines).
-pub fn build_engine_with_limits_probed_word(
-    netlist: &Netlist,
-    engine: Engine,
-    limits: &ResourceLimits,
-    probe: &dyn Probe,
-    word: WordWidth,
-) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-    build_engine(netlist, engine, limits, probe, word, false)
-}
-
-/// The one engine dispatch behind both factories: compiles `engine`
-/// panic-contained, monitoring every net when `monitor_all` is set (the
-/// event-driven baseline traces every net either way).
-fn build_engine(
-    netlist: &Netlist,
-    engine: Engine,
-    limits: &ResourceLimits,
-    probe: &dyn Probe,
-    word: WordWidth,
-    monitor_all: bool,
-) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-    fn parallel<W: Word>(
-        netlist: &Netlist,
-        optimization: Optimization,
-        limits: &ResourceLimits,
-        probe: &dyn Probe,
-        monitor_all: bool,
-    ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-        Ok(if monitor_all {
-            Box::new(ParallelSim::<W>::compile_monitoring_all_probed(
-                netlist,
-                optimization,
-                limits,
-                probe,
-            )?)
-        } else {
-            Box::new(ParallelSim::<W>::compile_probed(
-                netlist,
-                optimization,
-                limits,
-                probe,
-            )?)
-        })
-    }
-    let build = || -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-        Ok(match engine {
-            Engine::Native => {
-                let build_native = if monitor_all {
-                    crate::native::build_native_monitoring
-                } else {
-                    crate::native::build_native
-                };
-                build_native(
-                    netlist,
-                    Engine::ParallelPathTracingTrimming,
-                    word,
-                    limits,
-                    probe,
-                )?
-            }
-            Engine::PcSet if monitor_all => {
-                let all: Vec<NetId> = netlist.net_ids().collect();
-                Box::new(PcSetSimulator::compile_probed_with_monitors(
-                    netlist, &all, limits, probe,
-                )?)
-            }
-            Engine::PcSet => Box::new(PcSetSimulator::compile_probed(netlist, limits, probe)?),
-            Engine::EventDriven => {
-                // The baseline has no compiler, but the budget still
-                // applies: its waveform store is nets × (depth + 1).
-                let levels = uds_netlist::levelize(netlist)?;
-                limits.check_depth(levels.depth)?;
-                limits.check_gates(netlist.gate_count())?;
-                limits.check_inputs(netlist.primary_inputs().len())?;
-                limits.check_memory(
-                    (netlist.net_count() as u64).saturating_mul(u64::from(levels.depth) + 1),
-                )?;
-                limits.check_deadline()?;
-                Box::new(TracedEventSim::new(netlist)?)
-            }
-            _ => {
-                let optimization = engine
-                    .optimization()
-                    .expect("every remaining engine is parallel-family");
-                match word {
-                    WordWidth::W32 => {
-                        parallel::<u32>(netlist, optimization, limits, probe, monitor_all)?
-                    }
-                    WordWidth::W64 => {
-                        parallel::<u64>(netlist, optimization, limits, probe, monitor_all)?
-                    }
-                }
-            }
-        })
-    };
-    match panic::catch_unwind(AssertUnwindSafe(build)) {
-        Ok(Ok(sim)) => Ok(sim),
-        Ok(Err(e)) if e.engine.is_some() => Err(e),
-        Ok(Err(e)) => Err(e.with_engine(engine)),
-        Err(payload) => Err(SimError::from_panic(payload, SimPhase::Compile).with_engine(engine)),
     }
 }
 
@@ -389,23 +230,6 @@ impl GuardedSimulator {
         )
     }
 
-    /// Builds with an explicit chain and telemetry registry.
-    pub fn with_chain_telemetry(
-        netlist: &Netlist,
-        limits: ResourceLimits,
-        chain: &[Engine],
-        telemetry: Telemetry,
-    ) -> Result<Self, SimError> {
-        Self::build(
-            netlist,
-            limits,
-            chain,
-            Box::new(DefaultEngineFactory::default()),
-            Some(telemetry),
-            None,
-        )
-    }
-
     /// Builds with an explicit chain and engine factory (the chaos
     /// harness injects faulty factories here).
     pub fn with_factory(
@@ -414,41 +238,22 @@ impl GuardedSimulator {
         chain: &[Engine],
         factory: Box<dyn EngineFactory>,
     ) -> Result<Self, SimError> {
-        Self::build(netlist, limits, chain, factory, None, None)
+        Self::observed(netlist, limits, chain, factory, None, None)
     }
 
-    /// Builds with an explicit chain, engine factory, *and* telemetry
-    /// registry — the fully general constructor (the CLI uses it to
-    /// combine `--word`-aware factories with `--stats`).
-    pub fn with_factory_telemetry(
-        netlist: &Netlist,
-        limits: ResourceLimits,
-        chain: &[Engine],
-        factory: Box<dyn EngineFactory>,
-        telemetry: Telemetry,
-    ) -> Result<Self, SimError> {
-        Self::build(netlist, limits, chain, factory, Some(telemetry), None)
-    }
-
-    /// Builds with an explicit chain, factory, and *compile probe*.
-    /// Unlike [`GuardedSimulator::with_factory_telemetry`] — whose
-    /// probe is the shared registry and therefore its shared span
-    /// stack — the probe here can be request-scoped: the serve daemon
-    /// passes one that routes compile phases into a per-request trace
-    /// while forwarding counters to the registry. The guard keeps no
-    /// telemetry handle, so runtime fallbacks are not recorded (the
-    /// caller reads [`GuardedSimulator::fallbacks`] instead).
-    pub fn with_factory_probed(
-        netlist: &Netlist,
-        limits: ResourceLimits,
-        chain: &[Engine],
-        factory: Box<dyn EngineFactory>,
-        probe: &dyn Probe,
-    ) -> Result<Self, SimError> {
-        Self::build(netlist, limits, chain, factory, None, Some(probe))
-    }
-
-    fn build(
+    /// The fully general constructor: an explicit chain and factory,
+    /// plus what observes the build.
+    ///
+    /// * `telemetry` — the session registry. It hears every compile
+    ///   (the initial ones and any fallback's) and records fallbacks
+    ///   and cross-check mismatches (the CLI passes it for `--stats`).
+    /// * `compile_probe` — overrides the registry for the initial
+    ///   compiles only. It can be request-scoped where the registry is
+    ///   shared: the serve daemon passes one that routes compile
+    ///   phases into a per-request trace while forwarding counters to
+    ///   its registry, and no `telemetry`, so runtime fallbacks are
+    ///   read from [`GuardedSimulator::fallbacks`] instead.
+    pub fn observed(
         netlist: &Netlist,
         limits: ResourceLimits,
         chain: &[Engine],
@@ -457,15 +262,14 @@ impl GuardedSimulator {
         compile_probe: Option<&dyn Probe>,
     ) -> Result<Self, SimError> {
         assert!(!chain.is_empty(), "fallback chain must name an engine");
-        let noop = NoopProbe;
+        let probe: &dyn Probe = match (compile_probe, &telemetry) {
+            (Some(p), _) => p,
+            (None, Some(t)) => t,
+            (None, None) => &NoopProbe,
+        };
         let mut fired = Vec::new();
         for (position, &engine) in chain.iter().enumerate() {
-            let probe: &dyn Probe = match (compile_probe, &telemetry) {
-                (Some(p), _) => p,
-                (None, Some(t)) => t,
-                (None, None) => &noop,
-            };
-            match factory.build_probed(netlist, engine, &limits, probe) {
+            match factory.build(netlist, engine, &limits, probe) {
                 Ok(active) => {
                     return Ok(GuardedSimulator {
                         netlist: netlist.clone(),
@@ -665,16 +469,15 @@ impl GuardedSimulator {
         } else {
             self.seed.clone()
         };
-        let noop = NoopProbe;
+        let probe: &dyn Probe = match &self.telemetry {
+            Some(t) => t,
+            None => &NoopProbe,
+        };
         for position in self.position + 1..self.chain.len() {
             let engine = self.chain[position];
-            let probe: &dyn Probe = match &self.telemetry {
-                Some(t) => t,
-                None => &noop,
-            };
             let candidate = self
                 .factory
-                .build_probed(&self.netlist, engine, &self.limits, probe)
+                .build(&self.netlist, engine, &self.limits, probe)
                 .and_then(|mut sim| {
                     let Some(state) = &handoff else {
                         return Ok(sim);
@@ -734,7 +537,9 @@ impl GuardedSimulator {
             TracedEventSim::new(&self.netlist)
                 .map_err(|e| SimError::from(e).with_engine(engine))?,
         );
-        let mut candidate = self.factory.build(&self.netlist, engine, &self.limits)?;
+        let mut candidate = self
+            .factory
+            .build(&self.netlist, engine, &self.limits, &NoopProbe)?;
         if let Some(seed) = &self.seed {
             baseline.seed_stable(seed);
             candidate.seed_stable(seed);
@@ -895,8 +700,8 @@ mod tests {
         let nl = c17();
         let limits = ResourceLimits::production();
         for engine in Engine::ALL {
-            let mut sim = MonitoringEngineFactory::default()
-                .build(&nl, engine, &limits)
+            let mut sim = DefaultEngineFactory::monitoring(WordWidth::default())
+                .build(&nl, engine, &limits, &NoopProbe)
                 .unwrap();
             sim.simulate_vector(&[true, false, true, false, true]);
             for net in nl.net_ids() {
@@ -917,7 +722,8 @@ mod tests {
             ..ResourceLimits::unlimited()
         };
         for engine in Engine::ALL {
-            let err = build_engine_with_limits(&nl, engine, &limits)
+            let err = DefaultEngineFactory::default()
+                .build(&nl, engine, &limits, &NoopProbe)
                 .err()
                 .expect("a one-gate budget rejects c17");
             assert_eq!(err.class(), FailureClass::Budget, "{engine}");

@@ -87,20 +87,14 @@ pub mod vectors;
 pub mod waveform;
 
 pub use activity::{ActivityProfiler, ActivityReport, BatchActivityObserver, ACTIVITY_SCHEMA};
-pub use batch::{
-    run_batch, run_batch_cancellable, run_batch_observed, shard_bounds, BatchOutput, ShardReport,
-};
+pub use batch::{run_batch, run_batch_cancellable, shard_bounds, BatchOutput, ShardReport};
 pub use cache::{netlist_hash, CacheKey, EngineCache};
 pub use cancel::{CancelCause, CancelToken};
 pub use error::{FailureClass, SimError, SimErrorKind, SimPhase};
-pub use guard::{
-    build_engine_with_limits, build_engine_with_limits_probed,
-    build_engine_with_limits_probed_word, chain_preferring, DefaultEngineFactory, GuardedSimulator,
-    MonitoringEngineFactory,
-};
+pub use guard::{chain_preferring, DefaultEngineFactory, GuardedSimulator};
 pub use hotspot::{HotspotReport, HotspotRing, HotspotSample, HotspotWindow, HOTSPOT_SCHEMA};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport, LOADGEN_SCHEMA};
-pub use native::{build_native, build_native_monitoring, compiler_available};
+pub use native::{build_native, compiler_available};
 pub use perf::{calibrate, measure_perf, record_perf_class, Calibration, PerfClass, PerfReport};
 pub use progress::{
     BatchProbe, FanoutProbe, Heartbeat, NdjsonProgress, NoopBatchProbe, PROGRESS_SCHEMA,
@@ -109,10 +103,7 @@ pub use serve::{
     install_signal_handlers, ServeConfig, ShutdownHandle, SimServer, JOB_SCHEMA, REQLOG_SCHEMA,
     SERVE_SCHEMA,
 };
-pub use simulator::{
-    build_simulator, build_simulator_with_word, BuildSimulatorError, Engine, TracedEventSim,
-    UnitDelaySimulator, WordWidth,
-};
+pub use simulator::{build_simulator, Engine, TracedEventSim, UnitDelaySimulator, WordWidth};
 pub use stream::{open_sink, write_text, HumanOut, StreamContract};
 pub use telemetry::trace::{chrome_trace, render_chrome_trace};
 pub use telemetry::{

@@ -1,11 +1,14 @@
 //! The native engine: emitted C, actually compiled and executed.
 //!
 //! Both technique crates emit the paper's C output; this module closes
-//! the loop at runtime. [`build_native`] compiles the chosen engine's
-//! interpreted twin, emits its C translation unit
-//! (`codegen_c::emit_native`), invokes the host C compiler (`cc
-//! -shared -fPIC -O2`), `dlopen`s the shared object, and wraps both in
-//! a [`UnitDelaySimulator`] whose vectors run as machine code.
+//! the loop at runtime. The crate's one engine constructor compiles
+//! the interpreted twin — for [`Engine::Native`] and for
+//! [`build_native`]'s other flavors alike — and hands it here. This
+//! module keeps only the native steps: emit the twin's C translation
+//! unit (`codegen_c::emit_native`), name its artifact, invoke the host
+//! C compiler (`cc -shared -fPIC -O2`), `dlopen` the shared object,
+//! and wrap both in a [`UnitDelaySimulator`] whose vectors run as
+//! machine code.
 //!
 //! # Caller-owned state
 //!
@@ -25,11 +28,12 @@
 //!
 //! Compiled objects land in [`cache_dir`] (`$UDS_NATIVE_CACHE`, or
 //! `uds-native-cache` under the system temp dir) named
-//! `{netlist_hash:016x}-{flavor}-w{bits}-run.so`, where the hash is
-//! the same canonical-netlist FNV the serve LRU keys on
-//! ([`crate::cache::netlist_hash`]). A fresh process finds the
-//! artifact on disk and skips the `cc` invocation entirely; within a
-//! process a registry loads each path once and runs `cc` once per
+//! `{netlist_hash:016x}-{flavor}[-mon]-w{bits}-run.so`, where the hash
+//! is the same canonical-netlist FNV the serve LRU keys on
+//! ([`crate::cache::netlist_hash`]) and `-mon` marks a twin that
+//! monitors every net (the activity profiler's). A fresh process finds
+//! the artifact on disk and skips the `cc` invocation entirely; within
+//! a process a registry loads each path once and runs `cc` once per
 //! artifact, however many builds ask for it concurrently.
 //! Cache traffic is reported through the build probe as the monotonic
 //! counters `native.cache.memory_hit`, `native.cache.disk_hit`, and
@@ -53,7 +57,7 @@ use crate::error::{SimError, SimErrorKind, SimPhase};
 use crate::{Engine, UnitDelaySimulator, WordWidth};
 
 /// A toolchain failure attributed to the native engine.
-fn toolchain_error(message: impl Into<String>) -> SimError {
+pub(crate) fn toolchain_error(message: impl Into<String>) -> SimError {
     SimError::new(
         SimErrorKind::Toolchain {
             message: message.into(),
@@ -81,21 +85,10 @@ pub fn build_native(
     limits: &ResourceLimits,
     probe: &dyn Probe,
 ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-    imp::build(netlist, flavor, word, limits, probe, false)
+    crate::simulator::build_engine(netlist, flavor, true, word, false, limits, probe)
 }
 
-/// [`build_native`] with **all nets monitored** on the twin (the
-/// activity profiler's variant). Monitoring changes the compiled
-/// program, so these artifacts are cached under a distinct flavor key.
-pub fn build_native_monitoring(
-    netlist: &Netlist,
-    flavor: Engine,
-    word: WordWidth,
-    limits: &ResourceLimits,
-    probe: &dyn Probe,
-) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-    imp::build(netlist, flavor, word, limits, probe, true)
-}
+pub(crate) use imp::load;
 
 /// `true` when the host C compiler (`$UDS_CC`, default `cc`) answers
 /// `--version` — probed once per process. Tests and benches use this
@@ -123,16 +116,15 @@ mod imp {
     use std::process::Command;
     use std::sync::{Mutex, OnceLock};
 
-    use uds_netlist::{
-        LevelProfile, LevelSegment, LevelTimer, NetId, Netlist, Probe, ResourceLimits,
-    };
+    use uds_netlist::{LevelProfile, LevelSegment, LevelTimer, NetId, Netlist, Probe};
     use uds_parallel::{Optimization, ParallelSim, Word};
     use uds_pcset::PcSetSimulator;
 
     use super::{cache_dir, toolchain_error};
     use crate::cache::netlist_hash;
     use crate::error::SimError;
-    use crate::{Engine, UnitDelaySimulator, WordWidth};
+    use crate::simulator::Twin;
+    use crate::UnitDelaySimulator;
 
     /// Names the emitted entry points in every artifact file name, so a
     /// cache directory shared with a build whose emitter exported other
@@ -337,13 +329,6 @@ mod imp {
         Ok(run)
     }
 
-    fn artifact_path(hash: u64, flavor: &str, bits: u32, monitoring: bool) -> PathBuf {
-        let mon = if monitoring { "-mon" } else { "" };
-        cache_dir().join(format!(
-            "{hash:016x}-{flavor}{mon}-w{bits}-{ARTIFACT_ABI}.so"
-        ))
-    }
-
     fn flavor_key(optimization: Optimization) -> &'static str {
         match optimization {
             Optimization::None => "par-none",
@@ -357,7 +342,7 @@ mod imp {
 
     /// An interpreted engine whose arena can serve as native state: the
     /// twin of a [`NativeSim`].
-    trait Twin: UnitDelaySimulator + Clone + 'static {
+    trait ArenaTwin: UnitDelaySimulator + Clone + 'static {
         /// The arena word the emitted C computes on.
         type Word: Copy + Send + 'static;
 
@@ -373,7 +358,7 @@ mod imp {
         );
     }
 
-    impl<W: Word> Twin for ParallelSim<W> {
+    impl<W: Word> ArenaTwin for ParallelSim<W> {
         type Word = W;
 
         fn input_word(bit: bool) -> W {
@@ -385,7 +370,7 @@ mod imp {
         }
     }
 
-    impl Twin for PcSetSimulator {
+    impl ArenaTwin for PcSetSimulator {
         type Word = u64;
 
         fn input_word(bit: bool) -> u64 {
@@ -400,19 +385,14 @@ mod imp {
     /// A twin, whose arena is the native code's state, plus its
     /// compiled level blocks. Every query reads the twin.
     #[derive(Clone)]
-    struct NativeSim<T: Twin> {
+    struct NativeSim<T: ArenaTwin> {
         twin: T,
         run: Run,
         /// Input words, rewritten in place every vector.
         pi: Vec<T::Word>,
     }
 
-    impl<T: Twin> NativeSim<T> {
-        fn boxed(twin: T, run: Run, inputs: usize) -> Box<dyn UnitDelaySimulator> {
-            let pi = vec![T::input_word(false); inputs];
-            Box::new(NativeSim { twin, run, pi })
-        }
-
+    impl<T: ArenaTwin> NativeSim<T> {
         /// One vector through `uds_run`; a `timer` additionally hears
         /// each level block as it ends.
         fn step(&mut self, inputs: &[bool], timer: Option<&mut LevelTimer<'_>>) {
@@ -441,7 +421,7 @@ mod imp {
         }
     }
 
-    impl<T: Twin> UnitDelaySimulator for NativeSim<T> {
+    impl<T: ArenaTwin> UnitDelaySimulator for NativeSim<T> {
         fn engine_name(&self) -> &'static str {
             "native"
         }
@@ -487,69 +467,50 @@ mod imp {
         }
     }
 
-    pub fn build(
+    /// Loads `twin`'s emitted C as machine code over `twin`'s arena:
+    /// emit, find or compile the artifact, `dlopen`. `monitoring` says
+    /// the twin monitors every net, which changes its program and so
+    /// names a distinct artifact.
+    pub fn load(
         netlist: &Netlist,
-        flavor: Engine,
-        word: WordWidth,
-        limits: &ResourceLimits,
-        probe: &dyn Probe,
+        twin: Twin,
         monitoring: bool,
+        probe: &dyn Probe,
     ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-        let hash = netlist_hash(netlist);
-        let optimization = match flavor {
-            Engine::EventDriven => {
-                return Err(toolchain_error(
-                    "the event-driven baseline has no C emitter",
-                ))
-            }
-            Engine::Native => Optimization::PathTracingTrimming,
-            Engine::PcSet => {
-                let twin = if monitoring {
-                    let all: Vec<NetId> = netlist.net_ids().collect();
-                    PcSetSimulator::compile_probed_with_monitors(netlist, &all, limits, probe)?
-                } else {
-                    PcSetSimulator::compile_probed(netlist, limits, probe)?
-                };
-                let source = uds_pcset::codegen_c::emit_native(netlist, &twin)
-                    .map_err(|e| toolchain_error(format!("emit: {e}")))?;
-                let path = artifact_path(hash, "pcset", 64, monitoring);
-                let run = get_or_load(&path, &source, probe)?;
-                return Ok(NativeSim::boxed(twin, run, netlist.primary_inputs().len()));
-            }
-            parallel => parallel
-                .optimization()
-                .expect("every remaining engine is parallel-family"),
+        let path = |flavor: &str, bits: u32| {
+            let mon = if monitoring { "-mon" } else { "" };
+            cache_dir().join(format!(
+                "{:016x}-{flavor}{mon}-w{bits}-{ARTIFACT_ABI}.so",
+                netlist_hash(netlist)
+            ))
         };
-        fn parallel<W: Word>(
-            netlist: &Netlist,
-            optimization: Optimization,
-            limits: &ResourceLimits,
+        fn native<T: ArenaTwin, E: std::fmt::Display>(
+            twin: T,
+            source: Result<String, E>,
+            path: &Path,
+            inputs: usize,
             probe: &dyn Probe,
-            hash: u64,
-            monitoring: bool,
         ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
-            let twin = if monitoring {
-                ParallelSim::<W>::compile_monitoring_all_probed(
-                    netlist,
-                    optimization,
-                    limits,
-                    probe,
-                )?
-            } else {
-                ParallelSim::<W>::compile_probed(netlist, optimization, limits, probe)?
-            };
-            let source = uds_parallel::codegen_c::emit_native(netlist, &twin)
-                .map_err(|e| toolchain_error(format!("emit: {e}")))?;
-            let path = artifact_path(hash, flavor_key(optimization), W::BITS, monitoring);
-            let run = get_or_load(&path, &source, probe)?;
-            Ok(NativeSim::boxed(twin, run, netlist.primary_inputs().len()))
+            let source = source.map_err(|e| toolchain_error(format!("emit: {e}")))?;
+            let run = get_or_load(path, &source, probe)?;
+            let pi = vec![T::input_word(false); inputs];
+            Ok(Box::new(NativeSim { twin, run, pi }))
         }
-        match word {
-            WordWidth::W32 => {
-                parallel::<u32>(netlist, optimization, limits, probe, hash, monitoring)
+        let inputs = netlist.primary_inputs().len();
+        match twin {
+            Twin::PcSet(twin) => {
+                let source = uds_pcset::codegen_c::emit_native(netlist, &twin);
+                native(twin, source, &path("pcset", 64), inputs, probe)
             }
-            WordWidth::W64 => {
-                parallel::<u64>(netlist, optimization, limits, probe, hash, monitoring)
+            Twin::Parallel32(twin) => {
+                let path = path(flavor_key(twin.optimization()), 32);
+                let source = uds_parallel::codegen_c::emit_native(netlist, &twin);
+                native(twin, source, &path, inputs, probe)
+            }
+            Twin::Parallel64(twin) => {
+                let path = path(flavor_key(twin.optimization()), 64);
+                let source = uds_parallel::codegen_c::emit_native(netlist, &twin);
+                native(twin, source, &path, inputs, probe)
             }
         }
     }
@@ -557,19 +518,18 @@ mod imp {
 
 #[cfg(not(unix))]
 mod imp {
-    use uds_netlist::{Netlist, Probe, ResourceLimits};
+    use uds_netlist::{Netlist, Probe};
 
     use super::toolchain_error;
     use crate::error::SimError;
-    use crate::{Engine, UnitDelaySimulator, WordWidth};
+    use crate::simulator::Twin;
+    use crate::UnitDelaySimulator;
 
-    pub fn build(
+    pub fn load(
         _netlist: &Netlist,
-        _flavor: Engine,
-        _word: WordWidth,
-        _limits: &ResourceLimits,
-        _probe: &dyn Probe,
+        _twin: Twin,
         _monitoring: bool,
+        _probe: &dyn Probe,
     ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
         Err(toolchain_error(
             "runtime loading of compiled C requires a Unix host",

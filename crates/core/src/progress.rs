@@ -1,9 +1,9 @@
 //! Live observation hooks for the batch runner.
 //!
-//! [`run_batch_observed`](crate::batch::run_batch_observed) threads a
-//! [`BatchProbe`] through its workers. The probe is opt-in at two
-//! granularities, each gated by a cheap capability check so the default
-//! ([`NoopBatchProbe`]) costs nothing in the hot loop:
+//! [`run_batch_cancellable`](crate::batch::run_batch_cancellable)
+//! threads a [`BatchProbe`] through its workers. The probe is opt-in
+//! at two granularities, each gated by a cheap capability check so the
+//! default ([`NoopBatchProbe`]) costs nothing in the hot loop:
 //!
 //! * **heartbeats** — periodic per-shard progress records (vectors
 //!   done, throughput, fallback state), throttled to

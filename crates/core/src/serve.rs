@@ -1378,12 +1378,13 @@ impl SimServer {
                 // them) into the shared registry and keeps the phase
                 // spans for this request's private tree.
                 let phase_probe = PhaseProbe::new(self.telemetry.clone());
-                let prototype = match GuardedSimulator::with_factory_probed(
+                let prototype = match GuardedSimulator::observed(
                     &parsed.netlist,
                     self.config.limits,
                     &chain,
                     factory,
-                    &phase_probe,
+                    None,
+                    Some(&phase_probe),
                 ) {
                     Ok(prototype) => prototype,
                     Err(error) => return Err((FailedAt::Compile, error)),

@@ -1,11 +1,21 @@
 //! The engine-agnostic simulator trait and constructors.
 
+// SimError deliberately carries full context and only travels on cold
+// failure paths; see guard.rs for the same trade.
+#![allow(clippy::result_large_err)]
+
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 
 use uds_eventsim::EventDrivenUnitDelay;
-use uds_netlist::{levelize, LevelProfile, LevelTimer, LevelizeError, NetId, Netlist};
+use uds_netlist::{
+    levelize, LevelProfile, LevelTimer, LevelizeError, NetId, Netlist, NoopProbe, Probe,
+    ResourceLimits,
+};
 use uds_parallel::{Optimization, ParallelSim, Word};
 use uds_pcset::PcSetSimulator;
+
+use crate::error::{SimError, SimPhase};
 
 /// A unit-delay simulator: feed vectors, read back settled values and
 /// (where supported) complete time histories.
@@ -366,8 +376,8 @@ pub enum Engine {
     /// The emitted C, actually compiled: `cc` + `dlopen` at runtime,
     /// driving the parallel pt+trim program as machine code. Requires a
     /// C toolchain; build through the guarded chain
-    /// ([`crate::guard::build_engine_with_limits`]) so a missing
-    /// compiler degrades to an interpreted engine instead of failing.
+    /// ([`crate::guard::chain_preferring`]) so a missing compiler
+    /// degrades to an interpreted engine instead of failing.
     Native,
 }
 
@@ -464,90 +474,137 @@ impl fmt::Display for WordWidth {
     }
 }
 
-/// Error from [`build_simulator`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct BuildSimulatorError {
-    /// The engine that failed to build.
-    pub engine: Engine,
-    /// Why.
-    pub reason: String,
-}
-
-impl fmt::Display for BuildSimulatorError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "cannot build {} simulator: {}", self.engine, self.reason)
-    }
-}
-
-impl std::error::Error for BuildSimulatorError {}
-
-/// Builds any engine as a boxed [`UnitDelaySimulator`] with the default
-/// 32-bit arena words.
+/// Builds any engine as a boxed [`UnitDelaySimulator`]: 32-bit arena
+/// words, no budget, no compile probe.
 ///
 /// # Errors
 ///
-/// Returns [`BuildSimulatorError`] for cyclic or sequential netlists.
+/// Returns [`SimError`] for cyclic or sequential netlists, and for
+/// [`Engine::Native`] without a working C toolchain.
 pub fn build_simulator(
     netlist: &Netlist,
     engine: Engine,
-) -> Result<Box<dyn UnitDelaySimulator>, BuildSimulatorError> {
-    build_simulator_with_word(netlist, engine, WordWidth::default())
+) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
+    build_engine(
+        netlist,
+        engine,
+        false,
+        WordWidth::default(),
+        false,
+        &ResourceLimits::unlimited(),
+        &NoopProbe,
+    )
 }
 
-/// Builds any engine as a boxed [`UnitDelaySimulator`]. Parallel-family
-/// engines pack their bit-fields into words of the requested width;
-/// other engines ignore it.
-///
-/// # Errors
-///
-/// Returns [`BuildSimulatorError`] for cyclic or sequential netlists.
-pub fn build_simulator_with_word(
+/// The compiled program of one of the paper's two techniques. An
+/// interpreted engine is this program; a native engine runs its
+/// emitted C over this program's arena.
+pub(crate) enum Twin {
+    PcSet(PcSetSimulator),
+    Parallel32(ParallelSim<u32>),
+    Parallel64(ParallelSim<u64>),
+}
+
+impl Twin {
+    fn boxed(self) -> Box<dyn UnitDelaySimulator> {
+        match self {
+            Twin::PcSet(twin) => Box::new(twin),
+            Twin::Parallel32(twin) => Box::new(twin),
+            Twin::Parallel64(twin) => Box::new(twin),
+        }
+    }
+}
+
+/// The one engine constructor. Compiles the program `engine` names
+/// under `limits` — parallel levels at `word`, every net monitored
+/// when `monitor_all` — and boxes it, or, when `native` (always for
+/// [`Engine::Native`], whose program is pt+trim), loads its emitted C
+/// as machine code. A compile panic is contained, and every error
+/// names the engine.
+pub(crate) fn build_engine(
     netlist: &Netlist,
     engine: Engine,
+    native: bool,
     word: WordWidth,
-) -> Result<Box<dyn UnitDelaySimulator>, BuildSimulatorError> {
+    monitor_all: bool,
+    limits: &ResourceLimits,
+    probe: &dyn Probe,
+) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
     fn parallel<W: Word>(
         netlist: &Netlist,
         optimization: Optimization,
-        engine: Engine,
-    ) -> Result<Box<dyn UnitDelaySimulator>, BuildSimulatorError> {
-        Ok(Box::new(
-            ParallelSim::<W>::compile(netlist, optimization).map_err(|e| BuildSimulatorError {
-                engine,
-                reason: e.to_string(),
-            })?,
-        ))
+        monitor_all: bool,
+        limits: &ResourceLimits,
+        probe: &dyn Probe,
+    ) -> Result<ParallelSim<W>, uds_parallel::CompileError> {
+        if monitor_all {
+            ParallelSim::compile_monitoring_all_probed(netlist, optimization, limits, probe)
+        } else {
+            ParallelSim::compile_probed(netlist, optimization, limits, probe)
+        }
     }
-
-    let err = |reason: String| BuildSimulatorError { engine, reason };
-    let optimization = match engine {
-        Engine::EventDriven => {
-            return Ok(Box::new(
-                TracedEventSim::new(netlist).map_err(|e| err(e.to_string()))?,
-            ))
+    let native = native || engine == Engine::Native;
+    let tag = if native { Engine::Native } else { engine };
+    let build = || -> Result<Box<dyn UnitDelaySimulator>, SimError> {
+        let twin = match engine {
+            Engine::EventDriven if native => {
+                return Err(crate::native::toolchain_error(
+                    "the event-driven baseline has no C emitter",
+                ))
+            }
+            Engine::EventDriven => {
+                // The baseline has no compiler, but the budget still
+                // applies: its waveform store is nets × (depth + 1).
+                let levels = uds_netlist::levelize(netlist)?;
+                limits.check_depth(levels.depth)?;
+                limits.check_gates(netlist.gate_count())?;
+                limits.check_inputs(netlist.primary_inputs().len())?;
+                limits.check_memory(
+                    (netlist.net_count() as u64).saturating_mul(u64::from(levels.depth) + 1),
+                )?;
+                limits.check_deadline()?;
+                return Ok(Box::new(TracedEventSim::new(netlist)?));
+            }
+            Engine::PcSet if monitor_all => {
+                let all: Vec<NetId> = netlist.net_ids().collect();
+                Twin::PcSet(PcSetSimulator::compile_probed_with_monitors(
+                    netlist, &all, limits, probe,
+                )?)
+            }
+            Engine::PcSet => Twin::PcSet(PcSetSimulator::compile_probed(netlist, limits, probe)?),
+            _ => {
+                let optimization = engine
+                    .optimization()
+                    .unwrap_or(Optimization::PathTracingTrimming);
+                match word {
+                    WordWidth::W32 => Twin::Parallel32(parallel(
+                        netlist,
+                        optimization,
+                        monitor_all,
+                        limits,
+                        probe,
+                    )?),
+                    WordWidth::W64 => Twin::Parallel64(parallel(
+                        netlist,
+                        optimization,
+                        monitor_all,
+                        limits,
+                        probe,
+                    )?),
+                }
+            }
+        };
+        if native {
+            crate::native::load(netlist, twin, monitor_all, probe)
+        } else {
+            Ok(twin.boxed())
         }
-        Engine::PcSet => {
-            return Ok(Box::new(
-                PcSetSimulator::compile(netlist).map_err(|e| err(e.to_string()))?,
-            ))
-        }
-        Engine::Native => {
-            return crate::native::build_native(
-                netlist,
-                Engine::ParallelPathTracingTrimming,
-                word,
-                &uds_netlist::ResourceLimits::unlimited(),
-                &uds_netlist::NoopProbe,
-            )
-            .map_err(|e| err(e.to_string()))
-        }
-        parallel => parallel
-            .optimization()
-            .expect("every remaining engine is parallel-family"),
     };
-    match word {
-        WordWidth::W32 => parallel::<u32>(netlist, optimization, engine),
-        WordWidth::W64 => parallel::<u64>(netlist, optimization, engine),
+    match panic::catch_unwind(AssertUnwindSafe(build)) {
+        Ok(Ok(sim)) => Ok(sim),
+        Ok(Err(e)) if e.engine.is_some() => Err(e),
+        Ok(Err(e)) => Err(e.with_engine(tag)),
+        Err(payload) => Err(SimError::from_panic(payload, SimPhase::Compile).with_engine(tag)),
     }
 }
 

@@ -11,8 +11,9 @@
 
 use uds_core::vectors::RandomVectors;
 use uds_core::{
-    run_batch_observed, ActivityProfiler, BatchActivityObserver, Engine, GuardedSimulator,
-    MonitoringEngineFactory, Telemetry, UnitDelaySimulator, WordWidth,
+    compiler_available, run_batch_cancellable, ActivityProfiler, BatchActivityObserver,
+    CancelToken, DefaultEngineFactory, Engine, GuardedSimulator, Telemetry, UnitDelaySimulator,
+    WordWidth,
 };
 use uds_netlist::generators::random::{layered, LayeredConfig};
 use uds_netlist::{levelize, Netlist, ResourceLimits};
@@ -42,7 +43,7 @@ fn monitored(netlist: &Netlist, engine: Engine, word: WordWidth) -> GuardedSimul
         netlist,
         ResourceLimits::unlimited(),
         &[engine],
-        Box::new(MonitoringEngineFactory::with_word(word)),
+        Box::new(DefaultEngineFactory::monitoring(word)),
     )
     .expect("combinational netlist compiles on every engine")
 }
@@ -67,14 +68,21 @@ fn history_toggles(sim: &dyn UnitDelaySimulator, net: uds_netlist::NetId) -> Vec
 /// Per-vector, per-net: the word-parallel toggle visitor must report
 /// exactly the transitions visible in the same engine's own waveform —
 /// and the profiler totals must be identical across every engine and
-/// word width.
+/// word width, the native engine's monitored build included when a C
+/// compiler is on `PATH`.
 #[test]
 fn toggle_counts_are_engine_and_word_width_invariant() {
+    let mut engines = Engine::ALL.to_vec();
+    if compiler_available() {
+        engines.push(Engine::Native);
+    } else {
+        eprintln!("SKIP: no C compiler on PATH; native toggle counts not checked");
+    }
     for netlist in corpus() {
         let levels = levelize(&netlist).expect("combinational");
         let stimulus = stimulus(&netlist, 12);
         let mut reference: Option<(ActivityProfiler, String)> = None;
-        for engine in Engine::ALL {
+        for &engine in &engines {
             for word in [WordWidth::W32, WordWidth::W64] {
                 let mut sim = monitored(&netlist, engine, word);
                 let mut profiler = ActivityProfiler::for_netlist(&netlist, &levels);
@@ -172,22 +180,24 @@ fn batch_sharding_preserves_toggle_counts() {
 
     for jobs in [1, 2, 3, 5] {
         let telemetry = Telemetry::new();
-        let prototype = GuardedSimulator::with_factory_telemetry(
+        let prototype = GuardedSimulator::observed(
             netlist,
             ResourceLimits::unlimited(),
             &[Engine::ParallelPathTracingTrimming],
-            Box::new(MonitoringEngineFactory::with_word(WordWidth::W64)),
-            telemetry.clone(),
+            Box::new(DefaultEngineFactory::monitoring(WordWidth::W64)),
+            Some(telemetry.clone()),
+            None,
         )
         .expect("compiles");
         let observer = BatchActivityObserver::new(netlist, &levels, stimulus.len(), jobs);
-        run_batch_observed(
+        run_batch_cancellable(
             netlist,
             &prototype,
             &stimulus,
             jobs,
             Some(&telemetry),
             &observer,
+            &CancelToken::new(),
         )
         .expect("batch succeeds");
         let merged = observer.merged();

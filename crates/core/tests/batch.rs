@@ -7,8 +7,8 @@
 use uds_core::chaos::{ChaosFactory, Fault, FaultPlan};
 use uds_core::vectors::RandomVectors;
 use uds_core::{
-    build_simulator, run_batch, DefaultEngineFactory, Engine, GuardedSimulator,
-    MonitoringEngineFactory, Telemetry, WordWidth,
+    build_simulator, run_batch, DefaultEngineFactory, Engine, GuardedSimulator, Telemetry,
+    WordWidth,
 };
 use uds_netlist::generators::iscas::Iscas85;
 use uds_netlist::generators::random::{layered, LayeredConfig};
@@ -110,12 +110,13 @@ fn batch_stays_exact_while_chaos_panics_an_engine_in_every_shard() {
     );
     for jobs in [1usize, 2, 7] {
         let telemetry = Telemetry::new();
-        let prototype = GuardedSimulator::with_factory_telemetry(
+        let prototype = GuardedSimulator::observed(
             &nl,
             ResourceLimits::production(),
             &GuardedSimulator::DEFAULT_CHAIN,
             Box::new(ChaosFactory::new(plan.clone())),
-            telemetry.clone(),
+            Some(telemetry.clone()),
+            None,
         )
         .unwrap();
         let out = run_batch(&nl, &prototype, &vectors, jobs, Some(&telemetry)).unwrap();
@@ -187,7 +188,7 @@ fn forked_guards_inherit_the_prototype_seed() {
             .remove(0);
         for engine in Engine::ALL {
             for word in [WordWidth::W32, WordWidth::W64] {
-                let factory = Box::new(MonitoringEngineFactory::with_word(word));
+                let factory = Box::new(DefaultEngineFactory::monitoring(word));
                 let mut prototype = GuardedSimulator::with_factory(
                     &nl,
                     ResourceLimits::unlimited(),

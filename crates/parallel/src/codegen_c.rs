@@ -14,7 +14,8 @@
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 
-use uds_netlist::{GateKind, Netlist};
+use uds_netlist::Netlist;
+use uds_pcset::codegen_c::{gate_expression, unique_stem, write_driver};
 
 use crate::program::WOp;
 use crate::word::Word;
@@ -354,20 +355,6 @@ fn emit_impl<W: Word>(
     Ok(out)
 }
 
-/// The one exported function, `uds_run`: every level block in order,
-/// as direct calls (a host loop of indirect calls mispredicts once the
-/// blocks number in the thousands). A non-null `tick` hears each
-/// finished block, so a profiled run times the same calls.
-fn write_driver(out: &mut String, blocks: usize) {
-    out.push_str("\nvoid uds_run(word *restrict s, const word *restrict pi,\n");
-    out.push_str("             void (*tick)(void *, uint32_t), void *ctx)\n{\n");
-    for index in 0..blocks {
-        let _ = writeln!(out, "    uds_block_{index}(s, pi);");
-        let _ = writeln!(out, "    if (tick) tick(ctx, {index}u);");
-    }
-    out.push_str("}\n");
-}
-
 /// One C identifier per arena word: field words get net-derived names,
 /// scratch words get t<k>. Sanitized stems are deduplicated (and the
 /// aliases themselves reserved), so no two nets share a C variable.
@@ -383,17 +370,7 @@ fn field_names<W: Word>(netlist: &Netlist, simulator: &ParallelSim<W>) -> Vec<St
     }
     for net in netlist.net_ids() {
         let layout = simulator.field_layout(net);
-        let mut stem = sanitize(netlist.net_name(net));
-        match used.entry(stem.clone()) {
-            std::collections::hash_map::Entry::Occupied(mut entry) => {
-                *entry.get_mut() += 1;
-                stem = format!("{stem}_d{}", entry.get());
-                used.insert(stem.clone(), 0);
-            }
-            std::collections::hash_map::Entry::Vacant(entry) => {
-                entry.insert(0);
-            }
-        }
+        let stem = unique_stem(&mut used, netlist.net_name(net));
         for w in 0..layout.words {
             names[(layout.base + w) as usize] = if layout.words == 1 {
                 stem.clone()
@@ -412,96 +389,6 @@ fn field_names<W: Word>(netlist: &Netlist, simulator: &ParallelSim<W>) -> Vec<St
 fn mask_literal(k: u32) -> String {
     debug_assert!(k > 0 && k < 128);
     format!("(word)0x{:x}", (1u128 << k) - 1)
-}
-
-fn gate_expression(kind: GateKind, operands: &[&str]) -> String {
-    let join = |sep: &str| operands.join(sep);
-    match kind {
-        GateKind::And => join(" & "),
-        GateKind::Nand => format!("~({})", join(" & ")),
-        GateKind::Or => join(" | "),
-        GateKind::Nor => format!("~({})", join(" | ")),
-        GateKind::Xor => join(" ^ "),
-        GateKind::Xnor => format!("~({})", join(" ^ ")),
-        GateKind::Not => format!("~{}", operands[0]),
-        GateKind::Buf => operands[0].to_owned(),
-        GateKind::Const0 => "(word)0".to_owned(),
-        GateKind::Const1 => "~(word)0".to_owned(),
-        GateKind::Dff => unreachable!("sequential gates are rejected at compile time"),
-    }
-}
-
-/// Identifiers the emitted translation unit already claims: C keywords
-/// (a net named `if` or `int` must not produce `static word if`), the
-/// `word` typedef, the `<stdint.h>` type names behind it, the entry
-/// points and their parameters, and the block-local temporaries the
-/// unrolled aligned-load / shifted-presentation statements declare.
-fn is_reserved(name: &str) -> bool {
-    matches!(
-        name,
-        "auto"
-            | "break"
-            | "case"
-            | "char"
-            | "const"
-            | "continue"
-            | "default"
-            | "do"
-            | "double"
-            | "else"
-            | "enum"
-            | "extern"
-            | "float"
-            | "for"
-            | "goto"
-            | "if"
-            | "inline"
-            | "int"
-            | "long"
-            | "register"
-            | "restrict"
-            | "return"
-            | "short"
-            | "signed"
-            | "sizeof"
-            | "static"
-            | "struct"
-            | "switch"
-            | "typedef"
-            | "union"
-            | "unsigned"
-            | "void"
-            | "volatile"
-            | "while"
-            | "word"
-            | "pi"
-            | "po"
-            | "simulate_one_vector"
-            | "uint32_t"
-            | "uint64_t"
-            | "uds_p"
-            | "uds_n"
-            | "uds_bf"
-            | "uds_tf"
-            | "uds_st"
-    )
-}
-
-fn sanitize(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 1);
-    if name.starts_with(|c: char| c.is_ascii_digit()) {
-        out.push('s');
-    }
-    for c in name.chars() {
-        out.push(if c.is_ascii_alphanumeric() { c } else { '_' });
-    }
-    if out.is_empty() {
-        out.push('s');
-    }
-    if is_reserved(&out) {
-        out.push('_');
-    }
-    out
 }
 
 #[cfg(test)]

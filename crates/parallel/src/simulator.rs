@@ -193,11 +193,16 @@ impl<W: Word> ParallelSim<W> {
         )
     }
 
-    /// Like [`ParallelSim::compile_with_limits`], but reporting
-    /// compile phases (levelize, alignment, codegen) and the paper's
-    /// static metrics (word ops, words trimmed, shifts retained and
-    /// eliminated, field widths) through `probe`. Gauge names are
-    /// namespaced by [`Optimization::key`]; see DESIGN.md §11.
+    /// Like [`ParallelSim::compile`], but enforcing a resource
+    /// budget and reporting compile phases (levelize, alignment,
+    /// codegen) and the paper's static metrics (word ops, words
+    /// trimmed, shifts retained and eliminated, field widths) through
+    /// `probe` (pass `&NoopProbe` for none). Depth, gate, input,
+    /// words-per-field, and estimated-memory ceilings are checked
+    /// *before* the corresponding allocations, and the sizing
+    /// arithmetic itself is overflow-checked; violations surface as
+    /// [`CompileError::Limit`]. Gauge names are namespaced by
+    /// [`Optimization::key`]; see DESIGN.md §11.
     pub fn compile_probed(
         netlist: &Netlist,
         optimization: Optimization,
@@ -205,19 +210,6 @@ impl<W: Word> ParallelSim<W> {
         probe: &dyn Probe,
     ) -> Result<Self, CompileError> {
         Self::compile_inner(netlist, optimization, false, limits, probe)
-    }
-
-    /// Like [`ParallelSim::compile`], but enforcing a resource
-    /// budget: depth, gate, input, words-per-field, and estimated-memory
-    /// ceilings are checked *before* the corresponding allocations, and
-    /// the sizing arithmetic itself is overflow-checked. Violations
-    /// surface as [`CompileError::Limit`].
-    pub fn compile_with_limits(
-        netlist: &Netlist,
-        optimization: Optimization,
-        limits: &ResourceLimits,
-    ) -> Result<Self, CompileError> {
-        Self::compile_inner(netlist, optimization, false, limits, &NoopProbe)
     }
 
     /// Like [`ParallelSim::compile`], but keeps every net's history
@@ -238,19 +230,10 @@ impl<W: Word> ParallelSim<W> {
         )
     }
 
-    /// [`ParallelSim::compile_monitoring_all`] under a resource
-    /// budget — the combination verification harnesses want.
-    pub fn compile_monitoring_all_with_limits(
-        netlist: &Netlist,
-        optimization: Optimization,
-        limits: &ResourceLimits,
-    ) -> Result<Self, CompileError> {
-        Self::compile_inner(netlist, optimization, true, limits, &NoopProbe)
-    }
-
-    /// [`ParallelSim::compile_monitoring_all_with_limits`] reporting
-    /// compile phases and static metrics through `probe` — what the
-    /// activity profiler uses so every net's toggles are observable.
+    /// [`ParallelSim::compile_monitoring_all`] under a resource budget
+    /// and reporting compile phases and static metrics through `probe`
+    /// — what the activity profiler uses so every net's toggles are
+    /// observable.
     pub fn compile_monitoring_all_probed(
         netlist: &Netlist,
         optimization: Optimization,
@@ -900,7 +883,7 @@ mod tests {
             ..ResourceLimits::unlimited()
         };
         for optimization in Optimization::ALL {
-            match ParallelSimulator::compile_with_limits(&nl, optimization, &tight) {
+            match ParallelSimulator::compile_probed(&nl, optimization, &tight, &NoopProbe) {
                 Err(CompileError::Limit(err)) => {
                     assert_eq!(err.resource, uds_netlist::Resource::Depth);
                     assert_eq!(err.needed, 2);
@@ -910,7 +893,9 @@ mod tests {
             }
         }
         let roomy = ResourceLimits::production();
-        assert!(ParallelSimulator::compile_with_limits(&nl, Optimization::None, &roomy).is_ok());
+        assert!(
+            ParallelSimulator::compile_probed(&nl, Optimization::None, &roomy, &NoopProbe).is_ok()
+        );
     }
 
     #[test]
@@ -920,7 +905,7 @@ mod tests {
             deadline: Some(std::time::Instant::now() - std::time::Duration::from_millis(1)),
             ..ResourceLimits::unlimited()
         };
-        match ParallelSimulator::compile_with_limits(&nl, Optimization::None, &limits) {
+        match ParallelSimulator::compile_probed(&nl, Optimization::None, &limits, &NoopProbe) {
             Err(CompileError::Limit(err)) => {
                 assert_eq!(err.resource, uds_netlist::Resource::Deadline)
             }

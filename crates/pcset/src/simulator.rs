@@ -110,17 +110,6 @@ impl PcSetSimulator {
         Self::compile_with_monitors(netlist, netlist.primary_outputs())
     }
 
-    /// Like [`PcSetSimulator::compile`], but enforcing a resource budget:
-    /// depth, gate, input, and estimated-memory ceilings are checked
-    /// before allocation, and slot arithmetic is overflow-checked.
-    /// Violations surface as [`CompileError::Limit`].
-    pub fn compile_with_limits(
-        netlist: &Netlist,
-        limits: &ResourceLimits,
-    ) -> Result<Self, CompileError> {
-        Self::compile_inner(netlist, netlist.primary_outputs(), limits, &NoopProbe)
-    }
-
     /// Compiles with an explicit set of monitored nets (the paper's
     /// `PRINT` pseudo-gate inputs). Monitored nets always have a full
     /// reconstructible history; other nets only expose their final value
@@ -137,10 +126,14 @@ impl PcSetSimulator {
         Self::compile_inner(netlist, monitored, &ResourceLimits::unlimited(), &NoopProbe)
     }
 
-    /// Like [`PcSetSimulator::compile_with_limits`], but reporting
-    /// compile phases and the paper's static metrics (PC-set size
-    /// distribution, zero insertions, program size) through `probe`.
-    /// See DESIGN.md §11 for the emitted span and gauge names.
+    /// Like [`PcSetSimulator::compile`], but enforcing a resource budget
+    /// and reporting compile phases and the paper's static metrics
+    /// (PC-set size distribution, zero insertions, program size)
+    /// through `probe` (pass `&NoopProbe` for none). Depth, gate,
+    /// input, and estimated-memory ceilings are checked before
+    /// allocation, and slot arithmetic is overflow-checked; violations
+    /// surface as [`CompileError::Limit`]. See DESIGN.md §11 for the
+    /// emitted span and gauge names.
     pub fn compile_probed(
         netlist: &Netlist,
         limits: &ResourceLimits,
@@ -676,7 +669,7 @@ mod tests {
             max_gates: Some(1),
             ..ResourceLimits::unlimited()
         };
-        match PcSetSimulator::compile_with_limits(&nl, &tight) {
+        match PcSetSimulator::compile_probed(&nl, &tight, &NoopProbe) {
             Err(CompileError::Limit(err)) => {
                 assert_eq!(err.resource, uds_netlist::Resource::Gates);
                 assert_eq!(err.needed, 2);
@@ -684,7 +677,9 @@ mod tests {
             }
             other => panic!("expected gate-count violation, got {other:?}"),
         }
-        assert!(PcSetSimulator::compile_with_limits(&nl, &ResourceLimits::production()).is_ok());
+        assert!(
+            PcSetSimulator::compile_probed(&nl, &ResourceLimits::production(), &NoopProbe).is_ok()
+        );
     }
 
     #[test]

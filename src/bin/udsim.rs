@@ -101,12 +101,11 @@ use std::time::{Duration, Instant};
 use unit_delay_sim::core::vcd::VcdRecorder;
 use unit_delay_sim::core::vectors::RandomVectors;
 use unit_delay_sim::core::{
-    build_engine_with_limits_probed_word, chain_preferring, install_signal_handlers, measure_perf,
-    open_sink, record_build_info, record_perf_class, render_chrome_trace, run_batch_observed,
-    run_loadgen, write_text, ActivityProfiler, BatchActivityObserver, BatchProbe,
-    DefaultEngineFactory, Engine, FailureClass, FanoutProbe, GuardedSimulator, HumanOut,
-    LoadgenConfig, MonitoringEngineFactory, NdjsonProgress, NoopBatchProbe, ServeConfig, SimError,
-    SimServer, StreamContract, Telemetry, WordWidth,
+    chain_preferring, install_signal_handlers, measure_perf, open_sink, record_build_info,
+    record_perf_class, render_chrome_trace, run_batch_cancellable, run_loadgen, write_text,
+    ActivityProfiler, BatchActivityObserver, BatchProbe, CancelToken, DefaultEngineFactory, Engine,
+    FailureClass, FanoutProbe, GuardedSimulator, HumanOut, LoadgenConfig, NdjsonProgress,
+    NoopBatchProbe, ServeConfig, SimError, SimServer, StreamContract, Telemetry, WordWidth,
 };
 use unit_delay_sim::netlist::stats::CircuitStats;
 use unit_delay_sim::netlist::{levelize, Probe, ResourceLimits};
@@ -450,21 +449,21 @@ fn simulate(args: &[String]) -> Result<(), CliError> {
         .take(vectors)
         .collect();
 
-    // `--engine native` always runs through the guarded chain: a host
-    // without a C compiler degrades to the interpreted engines instead
-    // of failing the run.
-    let native = engine == Some(Engine::Native);
+    // Every run goes through the guard. `--engine native` always runs
+    // the full chain: a host without a C compiler degrades to the
+    // interpreted engines instead of failing the run. Otherwise the
+    // chain is the one engine asked for, unless `--fallback`.
+    let chain = if fallback || engine == Some(Engine::Native) {
+        chain_preferring(engine)
+    } else {
+        vec![engine.unwrap_or(Engine::ParallelPathTracingTrimming)]
+    };
     if let Some(jobs) = jobs {
         if vcd_path.is_some() {
             return Err(CliError::usage(
                 "--vcd needs the sequential waveform and cannot be combined with --jobs",
             ));
         }
-        let chain = if fallback || native {
-            fallback_chain(engine)
-        } else {
-            vec![engine.unwrap_or(Engine::ParallelPathTracingTrimming)]
-        };
         let progress = progress_sink(progress_path.as_deref(), progress_interval)?;
         simulate_batch(
             &nl,
@@ -478,8 +477,12 @@ fn simulate(args: &[String]) -> Result<(), CliError> {
             progress.as_ref().map(|p| p as &dyn BatchProbe),
             &human,
         )?;
-    } else if fallback || native {
-        let chain = fallback_chain(engine);
+    } else {
+        if crosscheck && chain.len() == 1 {
+            return Err(CliError::usage(
+                "--crosscheck requires --fallback or --jobs",
+            ));
+        }
         simulate_guarded(
             &nl,
             limits,
@@ -488,23 +491,6 @@ fn simulate(args: &[String]) -> Result<(), CliError> {
             &stimulus,
             vcd_path,
             crosscheck,
-            telemetry.as_ref(),
-            &human,
-        )?;
-    } else {
-        if crosscheck {
-            return Err(CliError::usage(
-                "--crosscheck requires --fallback or --jobs",
-            ));
-        }
-        let engine = engine.unwrap_or(Engine::ParallelPathTracingTrimming);
-        simulate_single(
-            &nl,
-            engine,
-            &limits,
-            word,
-            &stimulus,
-            vcd_path,
             telemetry.as_ref(),
             &human,
         )?;
@@ -593,13 +579,6 @@ fn write_trace(path: &str, telemetry: &Telemetry) -> Result<(), CliError> {
         .map_err(|e| CliError::class(format!("writing {path}: {e}"), FailureClass::Usage))
 }
 
-/// The degradation chain for `--fallback` (and `--engine native`): the
-/// requested engine first (when one was named), then the default chain
-/// minus duplicates.
-fn fallback_chain(preferred: Option<Engine>) -> Vec<Engine> {
-    chain_preferring(preferred)
-}
-
 fn print_header(nl: &Netlist, engine: Engine, human: &HumanOut) {
     human.line(format!(
         "# {}: {} gates, {} inputs, {} outputs, engine {engine}",
@@ -636,57 +615,10 @@ fn write_vcd(path: Option<String>, recorder: Option<VcdRecorder>) -> Result<(), 
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn simulate_single(
-    nl: &Netlist,
-    engine: Engine,
-    limits: &ResourceLimits,
-    word: WordWidth,
-    stimulus: &[Vec<bool>],
-    vcd_path: Option<String>,
-    telemetry: Option<&Telemetry>,
-    human: &HumanOut,
-) -> Result<(), CliError> {
-    let noop = unit_delay_sim::netlist::NoopProbe;
-    let probe: &dyn Probe = telemetry.map_or(&noop, |t| t as &dyn Probe);
-    let mut sim = {
-        let _span = telemetry.map(|t| t.span("compile"));
-        build_engine_with_limits_probed_word(nl, engine, limits, probe, word)
-            .map_err(|e| CliError::from(e.with_circuit(nl.name())))?
-    };
-    if let Some(t) = telemetry {
-        t.label("engine", engine.to_string());
-    }
-    let mut recorder = vcd_path
-        .as_ref()
-        .map(|_| VcdRecorder::new(nl, nl.primary_outputs().to_vec()));
-    print_header(nl, engine, human);
-    {
-        let _span = telemetry.map(|t| t.span("simulate"));
-        for (index, vector) in stimulus.iter().enumerate() {
-            sim.simulate_vector(vector);
-            if let Some(t) = telemetry {
-                t.add("run.vectors", 1);
-            }
-            if let Some(recorder) = recorder.as_mut() {
-                recorder.record(sim.as_ref());
-            }
-            print_row(nl, index, vector, human, |nl| {
-                nl.primary_outputs()
-                    .iter()
-                    .map(|&n| char::from(b'0' + sim.final_value(n) as u8))
-                    .collect()
-            });
-        }
-    }
-    if let Some(t) = telemetry {
-        for (name, value) in sim.run_counters() {
-            t.add(name, value);
-        }
-    }
-    write_vcd(vcd_path, recorder)
-}
-
+/// The sequential run: one guarded engine, vector by vector, printing
+/// each row. A chain of more than one engine (`--fallback`, native)
+/// reports every fallback as it fires and the survivor at the end; a
+/// one-engine chain has nothing to fall back to and reports neither.
 #[allow(clippy::too_many_arguments)]
 fn simulate_guarded(
     nl: &Netlist,
@@ -702,13 +634,8 @@ fn simulate_guarded(
     let mut guarded = {
         let _span = telemetry.map(|t| t.span("compile"));
         let factory = Box::new(DefaultEngineFactory::with_word(word));
-        match telemetry {
-            Some(t) => {
-                GuardedSimulator::with_factory_telemetry(nl, limits, chain, factory, t.clone())
-            }
-            None => GuardedSimulator::with_factory(nl, limits, chain, factory),
-        }
-        .map_err(|e| CliError::from(e.with_circuit(nl.name())))?
+        GuardedSimulator::observed(nl, limits, chain, factory, telemetry.cloned(), None)
+            .map_err(|e| CliError::from(e.with_circuit(nl.name())))?
     };
     if let Some(t) = telemetry {
         t.label("engine", guarded.active_engine().to_string());
@@ -758,16 +685,18 @@ fn simulate_guarded(
             guarded.vectors_run()
         );
     }
-    eprintln!(
-        "engine: {} ({} fallback{} fired)",
-        guarded.active_engine(),
-        guarded.fallbacks().len(),
-        if guarded.fallbacks().len() == 1 {
-            ""
-        } else {
-            "s"
-        }
-    );
+    if chain.len() > 1 {
+        eprintln!(
+            "engine: {} ({} fallback{} fired)",
+            guarded.active_engine(),
+            guarded.fallbacks().len(),
+            if guarded.fallbacks().len() == 1 {
+                ""
+            } else {
+                "s"
+            }
+        );
+    }
     write_vcd(vcd_path, recorder)
 }
 
@@ -793,13 +722,8 @@ fn simulate_batch(
     let prototype = {
         let _span = telemetry.map(|t| t.span("compile"));
         let factory = Box::new(DefaultEngineFactory::with_word(word));
-        match telemetry {
-            Some(t) => {
-                GuardedSimulator::with_factory_telemetry(nl, limits, chain, factory, t.clone())
-            }
-            None => GuardedSimulator::with_factory(nl, limits, chain, factory),
-        }
-        .map_err(attach)?
+        GuardedSimulator::observed(nl, limits, chain, factory, telemetry.cloned(), None)
+            .map_err(attach)?
     };
     if let Some(t) = telemetry {
         t.label("engine", prototype.active_engine().to_string());
@@ -809,13 +733,14 @@ fn simulate_batch(
     print_header(nl, prototype.active_engine(), human);
     let out = {
         let _span = telemetry.map(|t| t.span("simulate"));
-        run_batch_observed(
+        run_batch_cancellable(
             nl,
             &prototype,
             stimulus,
             jobs,
             telemetry,
             probe.unwrap_or(&NoopBatchProbe),
+            &CancelToken::new(),
         )
         .map_err(attach)?
     };
@@ -993,14 +918,9 @@ fn profile(args: &[String]) -> Result<(), CliError> {
         let _span = telemetry.as_ref().map(|t| t.span("compile"));
         // The monitoring factory keeps every net observable, whichever
         // engine measures — that is what makes the totals engine-exact.
-        let factory = Box::new(MonitoringEngineFactory::with_word(word));
-        match &telemetry {
-            Some(t) => {
-                GuardedSimulator::with_factory_telemetry(&nl, limits, &[engine], factory, t.clone())
-            }
-            None => GuardedSimulator::with_factory(&nl, limits, &[engine], factory),
-        }
-        .map_err(|e| CliError::from(e.with_circuit(nl.name())))
+        let factory = Box::new(DefaultEngineFactory::monitoring(word));
+        GuardedSimulator::observed(&nl, limits, &[engine], factory, telemetry.clone(), None)
+            .map_err(|e| CliError::from(e.with_circuit(nl.name())))
     };
 
     let profiler = if let Some(jobs) = jobs {
@@ -1014,13 +934,14 @@ fn profile(args: &[String]) -> Result<(), CliError> {
         let fanout = FanoutProbe::new(probes);
         {
             let _span = telemetry.as_ref().map(|t| t.span("simulate"));
-            run_batch_observed(
+            run_batch_cancellable(
                 &nl,
                 &prototype,
                 &stimulus,
                 jobs,
                 telemetry.as_ref(),
                 &fanout,
+                &CancelToken::new(),
             )
             .map_err(|e| CliError::from(e.with_circuit(nl.name())))?;
         }
@@ -1481,10 +1402,11 @@ fn loadgen(args: &[String]) -> Result<(), CliError> {
                 seed = parse_num("--seed", iter.next().ok_or("--seed needs a value")?)?;
             }
             "--jobs" => {
-                jobs = Some(parse_num(
-                    "--jobs",
-                    iter.next().ok_or("--jobs needs a count")?,
-                )?);
+                let parsed = parse_num("--jobs", iter.next().ok_or("--jobs needs a count")?)?;
+                if parsed == 0 {
+                    return Err(CliError::usage("--jobs: worker count must be at least 1"));
+                }
+                jobs = Some(parsed);
             }
             "--concurrency" => {
                 config.concurrency = parse_num(

@@ -265,8 +265,14 @@ fn batch_with_vcd_is_a_usage_error() {
 #[test]
 fn zero_jobs_is_a_usage_error() {
     let path = fixture("batch4.bench", C17);
-    let out = udsim(&["simulate", path.to_str().unwrap(), "--jobs", "0"]);
-    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    let path = path.to_str().unwrap();
+    for args in [
+        ["simulate", path, "--jobs", "0"].as_slice(),
+        ["loadgen", "--bench", path, "--jobs", "0"].as_slice(),
+    ] {
+        let out = udsim(args);
+        assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    }
 }
 
 #[test]

@@ -21,7 +21,7 @@ use unit_delay_sim::core::{
 use unit_delay_sim::netlist::generators::adders::{ripple_carry_adder, AdderStyle};
 use unit_delay_sim::netlist::generators::iscas::{c17, Iscas85};
 use unit_delay_sim::netlist::generators::trees::mux_tree;
-use unit_delay_sim::netlist::{NoopProbe, ResourceLimits};
+use unit_delay_sim::netlist::{NoopProbe, Probe, ResourceLimits};
 use unit_delay_sim::prelude::*;
 
 /// Every engine flavor the native builder can compile to C. The
@@ -129,9 +129,10 @@ impl EngineFactory for NativeFlavor {
         netlist: &Netlist,
         engine: Engine,
         limits: &ResourceLimits,
+        probe: &dyn Probe,
     ) -> Result<Box<dyn UnitDelaySimulator>, SimError> {
         assert_eq!(engine, Engine::Native);
-        build_native(netlist, self.flavor, self.word, limits, &NoopProbe)
+        build_native(netlist, self.flavor, self.word, limits, probe)
     }
 
     fn clone_box(&self) -> Box<dyn EngineFactory> {
