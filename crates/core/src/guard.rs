@@ -34,6 +34,7 @@
 #![allow(clippy::result_large_err)]
 
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::Arc;
 
 use uds_eventsim::zero_delay::stable_states;
 use uds_netlist::{NetId, Netlist, NoopProbe, Probe, ResourceLimits};
@@ -159,7 +160,8 @@ pub struct FiredFallback {
 /// state of the last vector run so retained state (each vector's
 /// dependence on the previous one) is preserved bit-exactly.
 pub struct GuardedSimulator {
-    netlist: Netlist,
+    /// Shared with every fork: forks run the same circuit.
+    netlist: Arc<Netlist>,
     limits: ResourceLimits,
     chain: Vec<Engine>,
     position: usize,
@@ -272,7 +274,7 @@ impl GuardedSimulator {
             match factory.build(netlist, engine, &limits, probe) {
                 Ok(active) => {
                     return Ok(GuardedSimulator {
-                        netlist: netlist.clone(),
+                        netlist: Arc::new(netlist.clone()),
                         limits,
                         chain: chain.to_vec(),
                         position,
@@ -318,16 +320,17 @@ impl GuardedSimulator {
     }
 
     /// A fresh guard sharing this one's netlist, budget, chain, and
-    /// factory, with the active engine cloned along with its compiled
-    /// program, its state, and the hand-off state a fallback would seed
-    /// a replacement from — so a fork degrades exactly as this guard
-    /// would. It carries no telemetry registry: workers report timings
-    /// back to the coordinating thread instead of contending on a
-    /// shared registry. Fallbacks already fired are not inherited; each
-    /// fork degrades independently.
+    /// factory, with the active engine cloned (a parallel engine shares
+    /// its compiled program and copies only its state) along with the
+    /// hand-off state a fallback would seed a replacement from — so a
+    /// fork degrades exactly as this guard would. It carries no
+    /// telemetry registry: workers report timings back to the
+    /// coordinating thread instead of contending on a shared registry.
+    /// Fallbacks already fired are not inherited; each fork degrades
+    /// independently.
     pub fn fork(&self) -> GuardedSimulator {
         GuardedSimulator {
-            netlist: self.netlist.clone(),
+            netlist: Arc::clone(&self.netlist),
             limits: self.limits,
             chain: self.chain.clone(),
             position: self.position,

@@ -500,7 +500,7 @@ mod imp {
         match twin {
             Twin::PcSet(twin) => {
                 let source = uds_pcset::codegen_c::emit_native(netlist, &twin);
-                native(twin, source, &path("pcset", 64), inputs, probe)
+                native(*twin, source, &path("pcset", 64), inputs, probe)
             }
             Twin::Parallel32(twin) => {
                 let path = path(flavor_key(twin.optimization()), 32);

@@ -500,7 +500,7 @@ pub fn build_simulator(
 /// interpreted engine is this program; a native engine runs its
 /// emitted C over this program's arena.
 pub(crate) enum Twin {
-    PcSet(PcSetSimulator),
+    PcSet(Box<PcSetSimulator>),
     Parallel32(ParallelSim<u32>),
     Parallel64(ParallelSim<u64>),
 }
@@ -508,7 +508,7 @@ pub(crate) enum Twin {
 impl Twin {
     fn boxed(self) -> Box<dyn UnitDelaySimulator> {
         match self {
-            Twin::PcSet(twin) => Box::new(twin),
+            Twin::PcSet(twin) => twin,
             Twin::Parallel32(twin) => Box::new(twin),
             Twin::Parallel64(twin) => Box::new(twin),
         }
@@ -567,11 +567,13 @@ pub(crate) fn build_engine(
             }
             Engine::PcSet if monitor_all => {
                 let all: Vec<NetId> = netlist.net_ids().collect();
-                Twin::PcSet(PcSetSimulator::compile_probed_with_monitors(
+                Twin::PcSet(Box::new(PcSetSimulator::compile_probed_with_monitors(
                     netlist, &all, limits, probe,
-                )?)
+                )?))
             }
-            Engine::PcSet => Twin::PcSet(PcSetSimulator::compile_probed(netlist, limits, probe)?),
+            Engine::PcSet => Twin::PcSet(Box::new(PcSetSimulator::compile_probed(
+                netlist, limits, probe,
+            )?)),
             _ => {
                 let optimization = engine
                     .optimization()

@@ -183,16 +183,12 @@ pub(crate) fn compile<W: Word>(
             if !scratch_needed[w as usize] {
                 continue;
             }
-            let first_operand = narrow_u32(operands.len() as u64)?;
-            for &input in &gate.inputs {
-                operands.push(layouts[input].base + w);
-            }
-            ops.push(WOp::Eval {
-                kind: gate.kind,
-                dst: scratch + w,
-                first_operand,
-                operand_count: narrow_u16(gate.inputs.len())?,
-            });
+            ops.push(WOp::gate(
+                gate.kind,
+                scratch + w,
+                gate.inputs.iter().map(|&input| layouts[input].base + w),
+                &mut operands,
+            )?);
         }
         for w in 0..words {
             match class_of(out, w) {

@@ -1,6 +1,7 @@
 //! The public compiled-simulator API for the parallel technique.
 
 use std::fmt;
+use std::sync::Arc;
 
 use uds_netlist::{
     levelize, static_profile, LevelProfile, LevelSegment, LevelTimer, LevelizeError, LimitExceeded,
@@ -144,16 +145,25 @@ pub struct ProgramStats {
 /// name the two instantiations.
 #[derive(Clone, Debug)]
 pub struct ParallelSim<W: Word = u32> {
-    program: Program,
+    /// Everything fixed at compile time, shared by clones: a fork of a
+    /// compiled simulator copies only its state.
+    code: Arc<Code<W>>,
     arena: Vec<W>,
-    initial_arena: Vec<W>,
-    layouts: Vec<FieldLayout>,
     /// Settled value, before the current vector, of the nets whose
     /// history below their alignment cannot be read back from the field
     /// (exactly those with `align == minlevel > 0`; everywhere else bit 0
     /// recomputes the previous value). Indexed by [`NetId`]; only entries
-    /// listed in `tracked` are refreshed per vector.
+    /// listed in `Code::tracked` are refreshed per vector.
     prev_final: Vec<bool>,
+}
+
+/// The immutable part of a [`ParallelSim`]: the program, its layouts
+/// and everything else the compiler decided.
+#[derive(Debug)]
+struct Code<W: Word> {
+    program: Program,
+    initial_arena: Vec<W>,
+    layouts: Vec<FieldLayout>,
     tracked: Vec<NetId>,
     /// Per net: `false` iff history below the alignment is unavailable
     /// (needs tracking but is not monitored).
@@ -425,24 +435,26 @@ impl<W: Word> ParallelSim<W> {
         };
         Ok(ParallelSim {
             arena: initial_arena.clone(),
-            initial_arena,
-            layouts,
             prev_final: settled_zero.clone(),
-            tracked,
-            trackable,
-            settled_zero,
-            depth,
-            optimization,
-            alignment,
-            stats,
-            program,
-            level_segments,
+            code: Arc::new(Code {
+                program,
+                initial_arena,
+                layouts,
+                tracked,
+                trackable,
+                settled_zero,
+                depth,
+                optimization,
+                alignment,
+                stats,
+                level_segments,
+            }),
         })
     }
 
     /// Circuit depth; histories cover times `0..=depth()`.
     pub fn depth(&self) -> u32 {
-        self.depth
+        self.code.depth
     }
 
     /// Bits per arena word this simulator was compiled for.
@@ -452,43 +464,43 @@ impl<W: Word> ParallelSim<W> {
 
     /// The optimization this simulator was compiled with.
     pub fn optimization(&self) -> Optimization {
-        self.optimization
+        self.code.optimization
     }
 
     /// The alignment in effect (None for the unoptimized/trimmed modes).
     pub fn alignment(&self) -> Option<&Alignment> {
-        self.alignment.as_ref()
+        self.code.alignment.as_ref()
     }
 
     /// Program size metrics.
     pub fn stats(&self) -> ProgramStats {
-        self.stats
+        self.code.stats
     }
 
     /// The field layout of a net (for inspection and tests).
     pub fn field_layout(&self, net: NetId) -> FieldLayout {
-        self.layouts[net]
+        self.code.layouts[net]
     }
 
     /// Internal accessors used by the C emitter.
     pub(crate) fn program(&self) -> &Program {
-        &self.program
+        &self.code.program
     }
 
     pub(crate) fn initial_arena(&self) -> &[W] {
-        &self.initial_arena
+        &self.code.initial_arena
     }
 
     /// Number of per-net field layouts — the net count this simulator
     /// was compiled for (used by the C emitter's mismatch check).
     pub(crate) fn layout_count(&self) -> usize {
-        self.layouts.len()
+        self.code.layouts.len()
     }
 
     /// Restores the consistent power-up state.
     pub fn reset(&mut self) {
-        self.arena.copy_from_slice(&self.initial_arena);
-        self.prev_final.copy_from_slice(&self.settled_zero);
+        self.arena.copy_from_slice(&self.code.initial_arena);
+        self.prev_final.copy_from_slice(&self.code.settled_zero);
     }
 
     /// Overwrites the retained state as if the previous vector had
@@ -508,10 +520,10 @@ impl<W: Word> ParallelSim<W> {
     pub fn seed_stable(&mut self, stable: &[bool]) {
         assert_eq!(
             stable.len(),
-            self.layouts.len(),
+            self.code.layouts.len(),
             "seed length must match the net count"
         );
-        for (layout, &value) in self.layouts.iter().zip(stable) {
+        for (layout, &value) in self.code.layouts.iter().zip(stable) {
             let fill = W::splat(value);
             for w in 0..layout.words {
                 self.arena[(layout.base + w) as usize] = fill;
@@ -529,14 +541,14 @@ impl<W: Word> ParallelSim<W> {
     pub fn simulate_vector(&mut self, inputs: &[bool]) {
         assert_eq!(
             inputs.len(),
-            self.program.input_count,
+            self.code.program.input_count,
             "input vector length must match the primary input count"
         );
-        for &net in &self.tracked {
-            let layout = &self.layouts[net];
+        for &net in &self.code.tracked {
+            let layout = &self.code.layouts[net];
             self.prev_final[net.index()] = layout.read_bit(&self.arena, layout.final_bit());
         }
-        self.program.run(&mut self.arena, inputs);
+        self.code.program.run(&mut self.arena, inputs);
     }
 
     /// As [`ParallelSim::simulate_vector`], but attributing wall time
@@ -552,16 +564,17 @@ impl<W: Word> ParallelSim<W> {
     pub fn simulate_vector_leveled(&mut self, inputs: &[bool], profile: &mut LevelProfile) {
         assert_eq!(
             inputs.len(),
-            self.program.input_count,
+            self.code.program.input_count,
             "input vector length must match the primary input count"
         );
         let mut timer = LevelTimer::new(profile);
-        for &net in &self.tracked {
-            let layout = &self.layouts[net];
+        for &net in &self.code.tracked {
+            let layout = &self.code.layouts[net];
             self.prev_final[net.index()] = layout.read_bit(&self.arena, layout.final_bit());
         }
-        for segment in &self.level_segments {
-            self.program
+        for segment in &self.code.level_segments {
+            self.code
+                .program
                 .run_op_range(&mut self.arena, inputs, segment.start, segment.end);
             timer.segment(
                 segment.level,
@@ -577,14 +590,14 @@ impl<W: Word> ParallelSim<W> {
     /// estimated state bytes — the paper's side of a measured-vs-static
     /// hotspot comparison.
     pub fn level_static_profile(&self) -> LevelProfile {
-        static_profile(&self.level_segments)
+        static_profile(&self.code.level_segments)
     }
 
     /// The compile-time level segments of the op stream, in run order:
     /// they tile the whole stream, so executing each segment's op range
     /// in turn is exactly one vector.
     pub(crate) fn level_segments(&self) -> &[LevelSegment] {
-        &self.level_segments
+        &self.code.level_segments
     }
 
     /// Like [`ParallelSim::simulate_vector`], but delegating the word
@@ -604,19 +617,19 @@ impl<W: Word> ParallelSim<W> {
     ) {
         assert_eq!(
             inputs.len(),
-            self.program.input_count,
+            self.code.program.input_count,
             "input vector length must match the primary input count"
         );
-        for &net in &self.tracked {
-            let layout = &self.layouts[net];
+        for &net in &self.code.tracked {
+            let layout = &self.code.layouts[net];
             self.prev_final[net.index()] = layout.read_bit(&self.arena, layout.final_bit());
         }
-        run(&mut self.arena, &self.level_segments);
+        run(&mut self.arena, &self.code.level_segments);
     }
 
     /// The final settled value of a net for the last vector.
     pub fn final_value(&self, net: NetId) -> bool {
-        let layout = &self.layouts[net];
+        let layout = &self.code.layouts[net];
         layout.read_bit(&self.arena, layout.final_bit())
     }
 
@@ -626,16 +639,16 @@ impl<W: Word> ParallelSim<W> {
     /// when that value is not reconstructible (the net would need
     /// monitoring — see [`ParallelSim::compile_monitoring_all`]).
     pub fn value_at(&self, net: NetId, time: u32) -> Option<bool> {
-        let layout = &self.layouts[net];
+        let layout = &self.code.layouts[net];
         if i64::from(time) < i64::from(layout.align) {
             // Below the field: the net cannot have changed yet, so this
             // is the previous vector's settled value. When align is
             // strictly below the minlevel, bit 0 recomputes it; otherwise
             // it must have been tracked before this vector ran.
-            if !self.trackable[net.index()] {
+            if !self.code.trackable[net.index()] {
                 return None;
             }
-            if self.tracked.contains(&net) {
+            if self.code.tracked.contains(&net) {
                 return Some(self.prev_final[net.index()]);
             }
             return Some(layout.read_bit(&self.arena, 0));
@@ -648,7 +661,7 @@ impl<W: Word> ParallelSim<W> {
     /// reconstructible for this net (monitor it, or compile with
     /// [`ParallelSim::compile_monitoring_all`]).
     pub fn history(&self, net: NetId) -> Option<Vec<bool>> {
-        (0..=self.depth)
+        (0..=self.code.depth)
             .map(|t| self.value_at(net, t))
             .collect::<Option<Vec<bool>>>()
     }
@@ -660,7 +673,7 @@ impl<W: Word> ParallelSim<W> {
     /// outside this window, so this is the net's total switching
     /// activity for the vector.
     pub fn field_transition_count(&self, net: NetId) -> u32 {
-        let layout = &self.layouts[net];
+        let layout = &self.code.layouts[net];
         let mut count = 0u32;
         let mut carry_bit: Option<bool> = None;
         for w in 0..layout.words {
@@ -704,10 +717,10 @@ impl<W: Word> ParallelSim<W> {
     /// are masked off, and for positive alignment the boundary step
     /// from the pre-field value to bit 0 is checked separately.
     pub fn for_each_toggle_in_field(&self, net: NetId, visit: &mut dyn FnMut(u32)) -> Option<u32> {
-        if !self.trackable[net.index()] {
+        if !self.code.trackable[net.index()] {
             return None;
         }
-        let layout = &self.layouts[net];
+        let layout = &self.code.layouts[net];
         if layout.words == 0 {
             return Some(0);
         }

@@ -56,6 +56,12 @@ pub trait Word:
     /// word. `bits > BITS` is a caller bug.
     fn low_mask(bits: u32) -> Self;
 
+    /// Arithmetic shift right by `bits` (must be `< BITS`): the vacated
+    /// high bits copy bit `BITS - 1`. `(w << k).sar(k)` replicates bit
+    /// `BITS - 1 - k` over the top `k` bits — a field's top-bit
+    /// replication in two shifts.
+    fn sar(self, bits: u32) -> Self;
+
     /// Number of set bits.
     fn count_ones(self) -> u32;
 
@@ -65,7 +71,7 @@ pub trait Word:
 }
 
 macro_rules! impl_word {
-    ($ty:ty, $c_type:literal) => {
+    ($ty:ty, $signed:ty, $c_type:literal) => {
         impl Word for $ty {
             const BITS: u32 = <$ty>::BITS;
             const ZERO: Self = 0;
@@ -98,6 +104,11 @@ macro_rules! impl_word {
             }
 
             #[inline]
+            fn sar(self, bits: u32) -> Self {
+                ((self as $signed) >> bits) as $ty
+            }
+
+            #[inline]
             fn count_ones(self) -> u32 {
                 <$ty>::count_ones(self)
             }
@@ -110,8 +121,8 @@ macro_rules! impl_word {
     };
 }
 
-impl_word!(u32, "uint32_t");
-impl_word!(u64, "uint64_t");
+impl_word!(u32, i32, "uint32_t");
+impl_word!(u64, i64, "uint64_t");
 
 #[cfg(test)]
 mod tests {
@@ -139,6 +150,15 @@ mod tests {
     #[cfg(debug_assertions)]
     fn low_mask_rejects_oversized_counts() {
         let _ = <u32 as Word>::low_mask(33);
+    }
+
+    #[test]
+    fn sar_replicates_the_top_bit() {
+        assert_eq!(<u32 as Word>::sar(0x8000_0000, 4), 0xF800_0000);
+        assert_eq!(<u32 as Word>::sar(0x4000_0000, 4), 0x0400_0000);
+        assert_eq!(<u64 as Word>::sar(1 << 63, 63), u64::MAX);
+        // Sign-extending the low 5 bits of 0b10110: bit 4 is set.
+        assert_eq!(<u32 as Word>::sar(0b10110 << 27, 27), !0u32 << 4 | 0b0110);
     }
 
     #[test]
